@@ -18,20 +18,9 @@ Edge cases are reported, never silently swallowed:
   - a non-empty base with an empty intersection FAILs: the head lost
     every gated benchmark, which must not pass as "no data".
 
-Benchmarks named .../workers=N additionally feed a parallel-scaling
-report: for every group sharing a prefix, speedup and efficiency of
-each workers=N variant against its workers=1 sibling. The report is
-purely informational — the sharded kernel is gated on bit-identical
-results (the CI correctness matrix), never on speedup, because CI
-runners have few cores and shared tenancy.
-
 Usage: bench_gate.py base.txt head.txt [threshold]
   threshold: maximum allowed geomean head/base time ratio
              (default 1.10 = 10% slower)
-
-Scaling report only: bench_gate.py --scaling head.txt
-  prints the workers=N report plus the allocs/op column for one bench
-  file (no base needed); always exits 0.
 
 With -benchmem output, an allocs/op column is printed alongside the
 gate. It is informational and never affects the verdict: the ns/op
@@ -62,8 +51,6 @@ import tempfile
 LINE = re.compile(r"^(Benchmark\S+)\s+\d+\s+([0-9.]+(?:e[+-]?\d+)?) ns/op")
 # -benchmem appends "B/op" and "allocs/op" columns to the same line.
 ALLOCS = re.compile(r"\s([0-9.]+(?:e[+-]?\d+)?) allocs/op")
-# A scaling variant: .../workers=N, with go test's -GOMAXPROCS suffix.
-WORKERS = re.compile(r"^(Benchmark\S+?)/workers=(\d+)(?:-\d+)?$")
 
 
 def medians(path):
@@ -100,8 +87,8 @@ def allocs_report(base, head):
 
     Informational only (always returns 0): the ns/op geomean is the
     gate, but a hot path that starts allocating shows up here before it
-    costs enough time to trip it. base may be empty (no -benchmem run,
-    or standalone mode); entries missing on either side print one-sided.
+    costs enough time to trip it. base may be empty (no -benchmem run);
+    entries missing on either side print one-sided.
     """
     names = sorted(set(base) | set(head))
     if not names:
@@ -117,38 +104,6 @@ def allocs_report(base, head):
             print(f"  {name}: {head[name]:.0f} allocs/op (head only)")
         else:
             print(f"  {name}: {base[name]:.0f} allocs/op (base only)")
-    return 0
-
-
-def scaling_report(head):
-    """Print the workers=N parallel-scaling report for parsed medians.
-
-    Informational only (always returns 0): efficiency on a shared
-    low-core CI runner says little, but the trend across PRs does.
-    """
-    groups = {}
-    for name, med in head.items():
-        m = WORKERS.match(name)
-        if m:
-            groups.setdefault(m.group(1), {})[int(m.group(2))] = med
-    printed = False
-    for prefix in sorted(groups):
-        byw = groups[prefix]
-        if 1 not in byw or len(byw) < 2 or byw[1] <= 0:
-            continue
-        if not printed:
-            print("\nparallel scaling (informational, never gated):")
-            printed = True
-        t1 = byw[1]
-        print(f"  {prefix}: workers=1 {t1:.0f} ns/op (baseline)")
-        for w in sorted(byw):
-            if w == 1 or byw[w] <= 0:
-                continue
-            speedup = t1 / byw[w]
-            print(f"  {prefix}: workers={w} {byw[w]:.0f} ns/op"
-                  f"  speedup {speedup:.2f}x  efficiency {speedup / w:.0%}")
-    if not printed:
-        print("\nparallel scaling: no .../workers=N benchmark groups found")
     return 0
 
 
@@ -190,7 +145,6 @@ def gate(base_path, head_path, threshold):
     """Run the gate; returns the process exit code (0 pass/skip, 1 fail)."""
     base = medians(base_path)
     head = medians(head_path)
-    scaling_report(head)
     allocs_report(alloc_medians(base_path), alloc_medians(head_path))
 
     head_only = sorted(set(head) - set(base))
@@ -277,23 +231,7 @@ def self_test():
     # 7. Scientific-notation medians parse.
     sci = ["BenchmarkX/a 1000000 5.1e+01 ns/op", "BenchmarkX/b 100 8.0e+01 ns/op"]
     check("scientific notation parses", run(b, sci), 0)
-    # 8. workers=N variants produce the scaling report without
-    # changing the verdict — even when workers=4 scales badly.
-    scaled = ["BenchmarkX/w/workers=1-8 100 100.0 ns/op",
-              "BenchmarkX/w/workers=2-8 100 60.0 ns/op",
-              "BenchmarkX/w/workers=4-8 100 110.0 ns/op"]
-    check("scaling variants never gate", run(scaled, scaled), 0)
-    # 9. The standalone scaling mode parses a file and always passes,
-    # groups or not.
-    scaled_file = bench_file(scaled)
-    plain_file = bench_file(b)
-    try:
-        check("standalone scaling report", scaling_report(medians(scaled_file)), 0)
-        check("standalone scaling, no groups", scaling_report(medians(plain_file)), 0)
-    finally:
-        os.unlink(scaled_file)
-        os.unlink(plain_file)
-    # 10. -benchmem columns parse into the allocs report and a large
+    # 8. -benchmem columns parse into the allocs report and a large
     # alloc increase never changes the gate verdict — ns/op gates,
     # allocations only report.
     membase = ["BenchmarkX/a 100 50.0 ns/op 128 B/op 0 allocs/op",
@@ -308,15 +246,15 @@ def self_test():
         got = 0 if parsed == {"BenchmarkX/a": 37.0, "BenchmarkX/b": 2.0} else 1
         check("benchmem columns parse", got, 0)
         check("no benchmem data tolerated", 0 if alloc_medians(plain_file) == {} else 1, 0)
-        check("standalone allocs report", allocs_report({}, parsed), 0)
+        check("allocs report, head only", allocs_report({}, parsed), 0)
         check("allocs report, no data", allocs_report({}, {}), 0)
     finally:
         os.unlink(mem_file)
         os.unlink(plain_file)
-    # 11. A benchmem head against a plain base prints one-sided, still
+    # 9. A benchmem head against a plain base prints one-sided, still
     # gated only on ns/op.
     check("mixed benchmem/plain pair", run(b, memhead), 0)
-    # 12. The standalone alloc gate: zero passes, any allocation fails,
+    # 10. The standalone alloc gate: zero passes, any allocation fails,
     # missing benchmem data fails, and an empty match set fails rather
     # than silently passing.
     zeroed = ["BenchmarkHot/park 100 50.0 ns/op 0 B/op 0 allocs/op",
@@ -347,9 +285,6 @@ def self_test():
 def main():
     if len(sys.argv) == 2 and sys.argv[1] == "--self-test":
         sys.exit(self_test())
-    if len(sys.argv) == 3 and sys.argv[1] == "--scaling":
-        scaling_report(medians(sys.argv[2]))
-        sys.exit(allocs_report({}, alloc_medians(sys.argv[2])))
     if len(sys.argv) == 4 and sys.argv[1] == "--alloc-gate":
         sys.exit(alloc_gate(sys.argv[2], sys.argv[3]))
     if len(sys.argv) < 3:

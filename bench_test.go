@@ -254,16 +254,14 @@ func BenchmarkAblationATLASScanDepth(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed (ns per
-// simulated cycle) per workload under the three execution modes:
-// ff=off (naive per-cycle loop), ff=scan (the PR 1 horizon-scan
-// fast-forward engine, Config.LegacyScan) and ff=on (the event
-// kernel, the default). The ff=on/ff=scan ratio per profile is the
-// BENCH trajectory number for the kernel refactor; the 64-core
-// profile is the regime the kernel exists for, where the per-step
-// O(n) scans dominate the legacy engine. WH (write-heavy) and BC
-// (high bank-conflict) pin the park-heavy regime the per-bank wake-up
-// horizons optimize: drain shadows and precharge/tFAW stalls, where
-// controllers spend most cycles parked and enqueues re-arm them.
+// simulated cycle) per workload under the two execution modes: ff=off
+// (naive per-cycle loop) and ff=on (the event kernel, the default).
+// The 64-core profile is the regime the kernel exists for, where most
+// cores and controllers sit parked on any given cycle. WH
+// (write-heavy) and BC (high bank-conflict) pin the park-heavy regime
+// the per-bank wake-up horizons optimize: drain shadows and
+// precharge/tFAW stalls, where controllers spend most cycles parked
+// and enqueues re-arm them.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	ds64 := workload.DataServing()
 	ds64.Cores = 64
@@ -288,55 +286,15 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	modes := []struct {
 		name        string
 		fastForward bool
-		legacyScan  bool
 	}{
-		{"ff=off", false, false},
-		{"ff=scan", true, true},
-		{"ff=on", true, false},
+		{"ff=off", false},
+		{"ff=on", true},
 	}
 	for _, p := range profiles {
 		for _, mode := range modes {
 			b.Run(p.Acronym+"/"+mode.name, func(b *testing.B) {
 				cfg := core.DefaultConfig(p)
 				cfg.FastForward = mode.fastForward
-				cfg.LegacyScan = mode.legacyScan
-				sys, err := core.NewSystem(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sys.FunctionalWarmup(0)
-				b.ResetTimer()
-				sys.Advance(uint64(b.N))
-			})
-		}
-	}
-
-	// Parallel-scaling variants: the sharded event kernel
-	// (Config.Workers) on multi-channel large-core configs — DS-64c
-	// over 4 channels and the ROADMAP's 256-core 8-channel profile.
-	// The workers=N/workers=1 ratio per family is the parallel
-	// efficiency the bench gate reports (scaling check, not yet
-	// gated); workers=1 is the in-family serial baseline, so the
-	// ratio isolates the barrier + merge cost from everything else.
-	// MSHR capacity scales with the core count so the big machines
-	// keep their controllers busy rather than convoying on miss slots.
-	scaling := []struct {
-		p        workload.Profile
-		channels int
-		mshrCap  int
-	}{
-		{ds64, 4, 96},
-		{workload.DataServing256(), 8, 256},
-	}
-	for _, sc := range scaling {
-		for _, w := range []int{1, 2, 4} {
-			sc, w := sc, w
-			name := sc.p.Acronym + "/ch" + itoa(sc.channels) + "/workers=" + itoa(w)
-			b.Run(name, func(b *testing.B) {
-				cfg := core.DefaultConfig(sc.p)
-				cfg.Channels = sc.channels
-				cfg.MSHRCap = sc.mshrCap
-				cfg.Workers = w
 				sys, err := core.NewSystem(cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -357,7 +315,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	// the bench gate watches for the O(changes) claim at system level.
 	deep := workload.DataServing256()
 	deep.Acronym = "DS-256c-deep"
-	b.Run(deep.Acronym+"/ch8/workers=1", func(b *testing.B) {
+	b.Run(deep.Acronym+"/ch8", func(b *testing.B) {
 		cfg := core.DefaultConfig(deep)
 		cfg.Channels = 8
 		cfg.MSHRCap = 1024

@@ -1,8 +1,7 @@
 // Command mclint runs the repository's determinism- and
 // lifetime-invariant analyzer suite (internal/lint: maprange,
-// nodeterm, epochbump, horizonarm, shardsafe, groupsync, freelive,
-// hotalloc) over the named package patterns and exits non-zero on any
-// finding. The interprocedural analyzers share one module-wide call
+// nodeterm, epochbump, horizonarm, groupsync, freelive, hotalloc) over
+// the named package patterns and exits non-zero on any finding. The interprocedural analyzers share one module-wide call
 // graph (internal/lint/callgraph), built once per run.
 //
 // Usage:

@@ -10,7 +10,7 @@
 //	mcmix [-mixes all|NAME,...] [-gen N] [-mixsize K]
 //	      [-scheds FR-FCFS,ATLAS] [-channels 1]
 //	      [-isolation none|banks|ways|banks+ways,...] [-slo 2.0]
-//	      [-cycles N] [-warm N] [-seed N] [-workers N] [-list] [-detail]
+//	      [-cycles N] [-warm N] [-seed N] [-list] [-detail]
 //	      [-progress] [-obs out.jsonl] [-obs-csv out.csv]
 //	      [-obs-interval N] [-trace trace.jsonl] [-status :8080]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -39,7 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -63,7 +62,6 @@ func main() {
 	channelsFlag := flag.String("channels", "1", "comma-separated channel counts to sweep")
 	isolationFlag := flag.String("isolation", "none", "comma-separated isolation modes to sweep (none, banks, ways, banks+ways, or all)")
 	slo := flag.Float64("slo", 0, "QoS scheduler max-slowdown SLO (0 = scheduler default)")
-	workers := flag.Int("workers", 1, "shard each cell's controller phase across N goroutines (0 = all CPUs; cells already run in parallel, so >1 mostly pays off for single-cell sweeps)")
 	cycles := flag.Uint64("cycles", 300_000, "measured cycles per simulation")
 	warm := flag.Uint64("warm", 50_000, "timed warmup cycles")
 	seed := flag.Uint64("seed", 1, "simulation seed")
@@ -136,15 +134,11 @@ func main() {
 		die(err)
 	}
 
-	if *workers == 0 {
-		*workers = runtime.NumCPU()
-	}
 	cfg := experiment.Config{
 		MeasureCycles:  *cycles,
 		WarmupCycles:   *warm,
 		Seed:           *seed,
 		MaxSlowdownSLO: *slo,
-		Workers:        *workers,
 	}
 
 	stopProfiles, err := monitor.StartProfiles(*cpuProfile, *memProfile)

@@ -5,7 +5,7 @@
 //
 //	mcsim [-workload DS] [-sched FR-FCFS] [-page OpenAdaptive]
 //	      [-channels 1] [-map RoRaBaCoCh] [-cycles N] [-warm N]
-//	      [-seed N] [-percore] [-workers N]
+//	      [-seed N] [-percore] [-ff=false]
 //	      [-obs out.jsonl] [-obs-csv out.csv] [-obs-interval N]
 //	      [-trace trace.jsonl] [-status :8080]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"cloudmc/cmd/internal/monitor"
 	"cloudmc/internal/addrmap"
@@ -42,7 +41,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	perCore := flag.Bool("percore", false, "print per-core IPC")
 	ff := flag.Bool("ff", true, "event-horizon fast-forward (off = naive per-cycle loop; metrics are bit-identical)")
-	workers := flag.Int("workers", 1, "shard the controller phase across N goroutines (0 = all CPUs; clamped to -channels; results are bit-identical)")
 	obsPath := flag.String("obs", "", "write interval samples as JSONL to this file")
 	obsCSV := flag.String("obs-csv", "", "write interval samples as CSV to this file")
 	obsInterval := flag.Uint64("obs-interval", 10_000, "sampling interval in simulated cycles")
@@ -79,10 +77,6 @@ func main() {
 	cfg.WarmupCycles = *warm
 	cfg.Seed = *seed
 	cfg.FastForward = *ff
-	if *workers == 0 {
-		*workers = runtime.NumCPU()
-	}
-	cfg.Workers = *workers
 	// Scale ATLAS's quantum to the measurement window (DESIGN.md).
 	cfg.SchedOpts.ATLAS = sched.ATLASConfig{
 		QuantumCycles: *cycles / 10, Alpha: 0.875,

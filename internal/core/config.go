@@ -160,41 +160,15 @@ type Config struct {
 	// bit-identical Metrics.
 	Seed uint64
 
-	// FastForward enables the event-horizon engine: when every core is
-	// stalled and every controller is inert, Run advances the clock in
-	// one jump to the earliest cycle at which any component can change
-	// state instead of ticking cycle-by-cycle, and controllers skip
-	// their decision logic until a command can become legal. The
-	// resulting Metrics are bit-identical to the naive loop (the
-	// equivalence suite in fastforward_test.go enforces this); the flag
-	// exists to run that comparison and to debug the engine itself.
-	// DefaultConfig enables it.
+	// FastForward selects the event kernel (kernel.go), the default:
+	// components register their next wake-up, parked cores and
+	// controllers are skipped, and Run jumps the clock over cycles in
+	// which nothing can change state. Clearing it selects the naive
+	// per-cycle loop, which ticks every component every cycle. The
+	// resulting Metrics are bit-identical (the differential suites in
+	// kernel_test.go and fastforward_test.go enforce this); the naive
+	// loop exists as their reference. DefaultConfig enables it.
 	FastForward bool
-
-	// LegacyScan selects the PR 1 horizon-scan implementation of the
-	// fast-forward engine instead of the event kernel: every attempt to
-	// jump the clock re-polls every core, controller and queue for its
-	// next event (O(n) per attempt) rather than reading the kernel's
-	// wake-up queue (O(1)). Metrics are bit-identical either way; the
-	// flag exists as the differential baseline for the kernel (see
-	// kernel_test.go) and to measure the scan-vs-kernel speedup in
-	// BenchmarkSimulatorThroughput. Ignored unless FastForward is set.
-	LegacyScan bool
-
-	// Workers shards the event kernel's controller phase across this
-	// many goroutines: each stepped cycle, the per-channel controllers
-	// are partitioned round-robin over the workers, ticked
-	// concurrently, and their deferred effects (fill completions,
-	// parking decisions) merged back in channel order after a barrier
-	// (see shard.go). Results are bit-identical for every value — the
-	// differential suite runs the parallel mode as a fourth loop mode —
-	// because shard bodies only touch shard-owned state and the merge
-	// order reproduces the serial loop exactly. 0 and 1 select the
-	// serial loop; values above the channel count are clamped; and
-	// schedulers with cross-channel shared state (sched.CrossChannel:
-	// ATLAS, QoS) force serial regardless. Only meaningful in the
-	// default kernel mode (FastForward set, LegacyScan clear).
-	Workers int
 }
 
 // DefaultConfig returns the paper's Table 2 baseline system for a
@@ -300,9 +274,6 @@ func (c Config) Validate() error {
 	}
 	if c.MeasureCycles == 0 {
 		return fmt.Errorf("core: MeasureCycles must be positive")
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("core: Workers must be non-negative, got %d", c.Workers)
 	}
 	return nil
 }

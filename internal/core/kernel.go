@@ -7,14 +7,12 @@ import (
 	"cloudmc/internal/engine"
 )
 
-// This file is the event-kernel execution mode of the System: instead
-// of polling every component's horizon with an O(n) scan per
-// fast-forward attempt (the PR 1 engine, kept behind Config.LegacyScan
-// as the differential baseline), every timing source registers its
-// next wake-up and the hot loop only touches components that are due.
-// The produced Metrics are bit-identical to both the naive per-cycle
-// loop and the legacy scan; kernel_test.go and the fast-forward
-// equivalence suite enforce it.
+// This file is the event-kernel execution mode of the System, the
+// default (Config.FastForward): every timing source registers its next
+// wake-up and the hot loop only touches components that are due. The
+// produced Metrics are bit-identical to the naive per-cycle loop
+// (FastForward off); kernel_test.go and the fast-forward equivalence
+// suite enforce it.
 //
 // Two wake-up structures split the sources by shape:
 //
@@ -24,10 +22,10 @@ import (
 //     feeds the jump bound), and Never means blocked on the memory
 //     system until a fill or store drain calls wakeCore. Waking
 //     settles the blocked window's stall statistics in bulk with
-//     cpu.Core.Advance — the same contract the legacy jump used — so
-//     counters stay bit-identical. The dense array costs one
-//     sequential compare per core per stepped cycle, which beats any
-//     queue discipline for sources that wake this often.
+//     cpu.Core.Advance, so counters stay bit-identical. The dense
+//     array costs one sequential compare per core per stepped cycle,
+//     which beats any queue discipline for sources that wake this
+//     often.
 //   - The fill path and the channel controllers — few sources with
 //     irregular, often-far horizons — are engine.Queue sources
 //     (calendar ring + indexed min-heap, deterministic (time, rank)
@@ -42,8 +40,8 @@ import (
 // plus the queue's O(1) NextTime instead of a component rescan.
 // Writeback/DMA retry queues keep the system stepping while non-empty
 // (they retry every cycle, exactly like the per-cycle loop), and IO
-// agents negotiate jumps through Scan/Skip exactly as the legacy
-// engine did, so their per-cycle injection draws replay bit-exactly.
+// agents negotiate jumps through Scan/Skip (negotiateIOJump), so their
+// per-cycle injection draws replay bit-exactly.
 
 // kernelState holds the event-kernel bookkeeping; embedded in System
 // and initialised only when the kernel mode is selected.
@@ -60,24 +58,6 @@ type kernelState struct {
 	coreIdleFrom []uint64
 
 	ctrlActive []bool
-
-	// fillBuf holds the per-channel fill completions of the current
-	// stepped cycle's controller phase; drainFillBufs merges them into
-	// the fill queue in channel order after the phase (see shard.go).
-	// Non-nil exactly when the kernel is on — the serial kernel
-	// buffers through the same path as the sharded one.
-	fillBuf [][]delayedFill
-
-	// Sharded controller phase (Config.Workers > 1; see shard.go):
-	// workers is the effective shard count, pool the barrier-synced
-	// worker pool, ctrlWake the per-channel NextEvent results of the
-	// current phase, shardNow/shardFn the per-round closure plumbing
-	// (one closure allocated at init, not per cycle).
-	workers  int
-	pool     *engine.ShardPool
-	ctrlWake []uint64
-	shardNow uint64
-	shardFn  func(shard int)
 
 	// nextWake is the earliest cycle at which any component outside
 	// the wake-up queue can act: stalled cores, active controllers,
@@ -111,8 +91,6 @@ func (s *System) initKernel() {
 	for i := range s.ctrlActive {
 		s.ctrlActive[i] = true
 	}
-	s.fillBuf = make([][]delayedFill, len(s.ctrls))
-	s.initShards()
 }
 
 // wakeCore makes a blocked core runnable at cycle now, first applying
@@ -156,11 +134,7 @@ func (s *System) settleCores() {
 // pending page-policy close resets the horizon to "unknown" and
 // activates the controller as before; a forwarded read schedules a
 // completion (re-arm earlier); a coalesced write changes nothing (the
-// armed wake-up already covers it). Merge-only under the sharded
-// kernel: it touches ctrlActive and the coordinator-owned wake-up
-// queue.
-//
-//mclint:merge-only
+// armed wake-up already covers it).
 func (s *System) notifyCtrl(ch int, now uint64) {
 	if s.q == nil || s.ctrlActive[ch] {
 		return
@@ -177,10 +151,7 @@ func (s *System) notifyCtrl(ch int, now uint64) {
 // A head already due is armed for the next cycle: deliveries happen at
 // the top of a stepped cycle, so a fill scheduled mid-cycle (by a
 // controller completion) lands exactly where the per-cycle loop would
-// have delivered it. Merge-only under the sharded kernel: it arms the
-// coordinator-owned wake-up queue.
-//
-//mclint:merge-only
+// have delivered it.
 func (s *System) armFill() {
 	if s.q == nil {
 		return
@@ -255,25 +226,18 @@ func (s *System) stepKernel() {
 		}
 	}
 
-	if s.pool != nil {
-		if s.runCtrlPhase(now) {
+	for i, ctl := range s.ctrls {
+		if !s.ctrlActive[i] {
+			continue
+		}
+		ctl.Tick(now)
+		if w := ctl.NextEvent(now + 1); w > now+1 {
+			s.ctrlActive[i] = false
+			s.q.Arm(s.ctrlSrc[i], w)
+		} else {
 			next = now + 1
 		}
-	} else {
-		for i, ctl := range s.ctrls {
-			if !s.ctrlActive[i] {
-				continue
-			}
-			ctl.Tick(now)
-			if w := ctl.NextEvent(now + 1); w > now+1 {
-				s.ctrlActive[i] = false
-				s.q.Arm(s.ctrlSrc[i], w)
-			} else {
-				next = now + 1
-			}
-		}
 	}
-	s.drainFillBufs()
 
 	// Retry queues poll every cycle while non-empty; a fill that became
 	// due mid-cycle (zero on-chip path latency) is delivered next cycle
@@ -293,14 +257,6 @@ func (s *System) stepKernel() {
 // injection draws replay exactly, and never pass a wake-up, which is
 // what makes every skipped cycle provably inert.
 func (s *System) advanceKernel(end uint64) {
-	if s.pool != nil {
-		// Spawn the shard workers for this chunk and join them on the
-		// way out; a System never leaks goroutines between Advance
-		// calls. Step()-driven single cycles run the shards inline
-		// (ShardPool.Run on an unstarted pool), bit-identically.
-		s.pool.Start()
-		defer s.pool.Stop()
-	}
 	for s.cycle < end {
 		if s.nextWake > s.cycle {
 			h := s.nextWake

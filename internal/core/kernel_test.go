@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 
@@ -10,45 +11,29 @@ import (
 	"cloudmc/internal/workload"
 )
 
-// runModes executes one Config under all four execution modes — the
-// naive per-cycle loop, the legacy horizon scan, the event kernel,
-// and the sharded parallel kernel (Workers=4) — and fails unless the
-// Metrics and final clock agree bit-for-bit. The naive loop ticks
-// every component every cycle, so agreement means the accelerated
-// modes observed exactly the same event ordering. The parallel mode
-// runs whatever sharding the config admits (clamped to the channel
-// count, serial fallback for cross-channel schedulers); the matrix
-// test in parallel_test.go additionally pins configs where sharding
-// provably engages.
+// runModes executes one Config under both execution modes — the naive
+// per-cycle loop and the event kernel — and fails unless the Metrics
+// and final clock agree bit-for-bit. The naive loop ticks every
+// component every cycle, so agreement means the kernel observed
+// exactly the same event ordering.
 func runModes(t *testing.T, cfg Config, label string) Metrics {
 	t.Helper()
-	run := func(ff, legacy bool, workers int) (Metrics, uint64) {
+	run := func(ff bool) (Metrics, uint64) {
 		c := cfg
 		c.FastForward = ff
-		c.LegacyScan = legacy
-		c.Workers = workers
 		sys, err := NewSystem(c)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		return sys.Run(), sys.cycle
 	}
-	naive, naiveCycle := run(false, false, 0)
-	scan, scanCycle := run(true, true, 0)
-	kernel, kernelCycle := run(true, false, 0)
-	parallel, parallelCycle := run(true, false, 4)
-	if naiveCycle != scanCycle || naiveCycle != kernelCycle || naiveCycle != parallelCycle {
-		t.Fatalf("%s: final clocks diverged: naive=%d scan=%d kernel=%d parallel=%d",
-			label, naiveCycle, scanCycle, kernelCycle, parallelCycle)
-	}
-	if !reflect.DeepEqual(naive, scan) {
-		t.Fatalf("%s: legacy scan diverged from naive loop:\nnaive: %+v\nscan:  %+v", label, naive, scan)
+	naive, naiveCycle := run(false)
+	kernel, kernelCycle := run(true)
+	if naiveCycle != kernelCycle {
+		t.Fatalf("%s: final clocks diverged: naive=%d kernel=%d", label, naiveCycle, kernelCycle)
 	}
 	if !reflect.DeepEqual(naive, kernel) {
 		t.Fatalf("%s: event kernel diverged from naive loop:\nnaive: %+v\nkernel: %+v", label, naive, kernel)
-	}
-	if !reflect.DeepEqual(naive, parallel) {
-		t.Fatalf("%s: sharded kernel (workers=4) diverged from naive loop:\nnaive:    %+v\nparallel: %+v", label, naive, parallel)
 	}
 	return kernel
 }
@@ -97,11 +82,10 @@ func randomProfile(rng *rand.Rand) workload.Profile {
 }
 
 // TestKernelDifferential is the differential property test of the
-// event-kernel refactor: random workloads (random traces by
-// construction — the generators are seeded stochastic streams) stepped
-// through the legacy horizon scan and the engine queue side by side
-// must produce identical event orderings and Metrics. The naive
-// per-cycle loop runs as the ground truth for both.
+// event kernel: random workloads (random traces by construction — the
+// generators are seeded stochastic streams) stepped through the engine
+// queue must produce identical event orderings and Metrics to the
+// naive per-cycle loop, the ground truth.
 func TestKernelDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paired simulations are slow")
@@ -133,7 +117,7 @@ func TestKernelDifferential(t *testing.T) {
 
 // TestKernel64CoreEquivalence pins the regime the kernel was built
 // for: a 64-core machine must still be bit-identical to the naive
-// per-cycle loop and the legacy scan.
+// per-cycle loop.
 func TestKernel64CoreEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paired simulations are slow")
@@ -289,7 +273,7 @@ func TestParkHorizonExactness(t *testing.T) {
 // TestKernelWriteHeavyEquivalence pins the park-heavy regime the
 // per-bank horizons optimize: a write-dominated profile spends most
 // of its time in drain shadows, where enqueues into parked
-// controllers take the O(1) re-arm path. All three engines must stay
+// controllers take the O(1) re-arm path. Both loop modes must stay
 // bit-identical through it.
 func TestKernelWriteHeavyEquivalence(t *testing.T) {
 	if testing.Short() {
@@ -306,5 +290,90 @@ func TestKernelWriteHeavyEquivalence(t *testing.T) {
 	m := runModes(t, cfg, "WH")
 	if m.WritesServed == 0 {
 		t.Fatal("write-heavy run served no writes")
+	}
+}
+
+// nightly reports whether the long-form nightly suite is requested
+// (the scheduled workflow sets MCSIM_NIGHTLY=1; too slow for per-PR
+// CI).
+func nightly() bool { return os.Getenv("MCSIM_NIGHTLY") != "" }
+
+// TestNightlyKernelDifferential is the long-form differential suite:
+// many randomized naive-vs-kernel trials at 4x the per-PR cycle
+// counts, plus the 256-core, 8-channel machine.
+func TestNightlyKernelDifferential(t *testing.T) {
+	if !nightly() {
+		t.Skip("set MCSIM_NIGHTLY=1 to run the long-form differential suite")
+	}
+	kinds := []sched.Kind{sched.FRFCFS, sched.ATLAS, sched.PARBS, sched.FCFSBanks, sched.RL}
+	rng := rand.New(rand.NewSource(20260809))
+	trials := 30
+	if testing.Short() {
+		// The nightly race soak reruns this suite under -race -short;
+		// the detector is ~10x slower, so trade volume for coverage.
+		trials = 6
+	}
+	for trial := 0; trial < trials; trial++ {
+		p := randomProfile(rng)
+		cfg := DefaultConfig(p)
+		cfg.Scheduler = kinds[rng.Intn(len(kinds))]
+		cfg.Channels = 1 << rng.Intn(4) // up to 8 channels
+		cfg.Seed = rng.Uint64() | 1
+		cfg.WarmupCycles = 8_000
+		cfg.MeasureCycles = 40_000
+		cfg.WarmupInstrPerCore = 4_000
+		cfg.SchedOpts.ATLAS = sched.ATLASConfig{
+			QuantumCycles: 6_000, Alpha: 0.875,
+			StarvationThreshold: 1_000, ScanDepth: 2,
+		}
+		label := p.Acronym + "/" + cfg.Scheduler.String()
+		t.Run(label, func(t *testing.T) {
+			if m := runModes(t, cfg, label); m.Retired == 0 {
+				t.Fatalf("%s: degenerate trial retired nothing", label)
+			}
+		})
+	}
+
+	t.Run("DS-256c/ch8", func(t *testing.T) {
+		cfg := DefaultConfig(workload.DataServing256())
+		cfg.Channels = 8
+		cfg.MSHRCap = 256
+		cfg.WarmupCycles = 1_000
+		cfg.MeasureCycles = 6_000
+		cfg.WarmupInstrPerCore = 1_000
+		if m := runModes(t, cfg, "DS-256c/ch8"); m.Retired == 0 {
+			t.Fatal("256-core run retired nothing")
+		}
+	})
+}
+
+// TestNightlyParkHorizonAudit is the long-form VerifyParkHorizon
+// audit: the same brute-force park-by-park replay as
+// TestParkHorizonExactness, over more trials and 4x the audited
+// window.
+func TestNightlyParkHorizonAudit(t *testing.T) {
+	if !nightly() {
+		t.Skip("set MCSIM_NIGHTLY=1 to run the long-form park-horizon audits")
+	}
+	kinds := []sched.Kind{sched.FRFCFS, sched.ATLAS, sched.PARBS, sched.QoS, sched.FCFSBanks, sched.RL}
+	rng := rand.New(rand.NewSource(20260810))
+	for trial := 0; trial < 12; trial++ {
+		p := randomProfile(rng)
+		cfg := DefaultConfig(p)
+		cfg.Scheduler = kinds[trial%len(kinds)]
+		cfg.Channels = 1 << rng.Intn(3)
+		cfg.Seed = rng.Uint64() | 1
+		cfg.SchedOpts.ATLAS = sched.ATLASConfig{
+			QuantumCycles: 3_000, Alpha: 0.875,
+			StarvationThreshold: 500, ScanDepth: 2,
+		}
+		cfg.SchedOpts.QoS = sched.QoSConfig{
+			MaxSlowdownSLO: 1.5, QuantumCycles: 5_000, Alpha: 0.875,
+			StarvationThreshold: 1_000, ScanDepth: 4, BaselineLatency: 70,
+		}
+		label := p.Acronym + "/" + cfg.Scheduler.String()
+		t.Run(label, func(t *testing.T) {
+			stepAndAudit(t, cfg, 48_000, label)
+		})
 	}
 }

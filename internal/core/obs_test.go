@@ -100,10 +100,9 @@ func TestObsDifferential(t *testing.T) {
 
 // runWithRecorder executes cfg in one loop mode with a recorder
 // attached and returns the recorded series plus the run Metrics.
-func runWithRecorder(t *testing.T, cfg Config, ff, legacy bool, interval uint64) ([]obs.Sample, Metrics) {
+func runWithRecorder(t *testing.T, cfg Config, ff bool, interval uint64) ([]obs.Sample, Metrics) {
 	t.Helper()
 	cfg.FastForward = ff
-	cfg.LegacyScan = legacy
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -128,8 +127,8 @@ func stripEngineTelemetry(samples []obs.Sample) []obs.Sample {
 }
 
 // TestObsIntervalAlignment pins the satellite invariant: interval
-// samples land on identical cycles with identical contents in all
-// three loop modes. The interval (3000) deliberately does not divide
+// samples land on identical cycles with identical contents in both
+// loop modes. The interval (3000) deliberately does not divide
 // the measure window, so the final partial interval is exercised too.
 func TestObsIntervalAlignment(t *testing.T) {
 	if testing.Short() {
@@ -137,10 +136,9 @@ func TestObsIntervalAlignment(t *testing.T) {
 	}
 	cfg := obsTestConfig(DefaultConfig(workload.DataServing()), sched.FRFCFS)
 	const interval = 3_000
-	naive, mNaive := runWithRecorder(t, cfg, false, false, interval)
-	scan, mScan := runWithRecorder(t, cfg, true, true, interval)
-	kernel, mKernel := runWithRecorder(t, cfg, true, false, interval)
-	if !reflect.DeepEqual(mNaive, mScan) || !reflect.DeepEqual(mNaive, mKernel) {
+	naive, mNaive := runWithRecorder(t, cfg, false, interval)
+	kernel, mKernel := runWithRecorder(t, cfg, true, interval)
+	if !reflect.DeepEqual(mNaive, mKernel) {
 		t.Fatal("metrics diverged across modes with recorders attached")
 	}
 	// Measure window is 10_000 cycles from 2_000: boundaries at 5_000,
@@ -161,11 +159,7 @@ func TestObsIntervalAlignment(t *testing.T) {
 		t.Fatalf("final partial interval spans %d cycles, want 1000", last.Cycles)
 	}
 	naive = stripEngineTelemetry(naive)
-	scan = stripEngineTelemetry(scan)
 	kernel = stripEngineTelemetry(kernel)
-	if !reflect.DeepEqual(naive, scan) {
-		t.Fatalf("legacy-scan samples diverged from naive:\nnaive: %+v\nscan:  %+v", naive, scan)
-	}
 	if !reflect.DeepEqual(naive, kernel) {
 		t.Fatalf("kernel samples diverged from naive:\nnaive: %+v\nkernel: %+v", naive, kernel)
 	}
@@ -179,7 +173,7 @@ func TestObsWarmupResetMatchesAggregate(t *testing.T) {
 		t.Skip("full simulations are slow")
 	}
 	cfg := obsTestConfig(DefaultConfig(workload.DataServing()), sched.FRFCFS)
-	samples, m := runWithRecorder(t, cfg, true, false, 2_500)
+	samples, m := runWithRecorder(t, cfg, true, 2_500)
 	if len(samples) == 0 {
 		t.Fatal("no samples recorded")
 	}

@@ -16,14 +16,12 @@ import (
 )
 
 // mshrEntry tracks one outstanding LLC miss and its merged waiters.
-// Entries are recycled through System.freeMSHR; ch and onDone exist
-// so one closure per entry serves every life (the closure reads ch at
-// fire time, and an entry is only recycled after its fill delivered,
-// when no controller holds the closure any more).
+// Entries are recycled through System.freeMSHR; onDone exists so one
+// closure per entry serves every life (an entry is only recycled after
+// its fill delivered, when no controller holds the closure any more).
 type mshrEntry struct {
 	addr   uint64
 	tenant int   // owning tenant (fills respect LLC way partitions)
-	ch     int   // channel serving the current miss
 	loads  []int // cores blocked on a load of this block
 	stores []int // cores with a buffered store to this block
 	onDone func(uint64)
@@ -47,7 +45,7 @@ type pendingIO struct {
 // path (crossbar + miss handling), applied at cycle `at`.
 type delayedFill struct {
 	at uint64
-	//mclint:owns -- a fill holds its entry only while queued on the return path; deliverFills/drainFillBufs pop the fill and complete it before fill() (the sole recycle point) can run for that entry
+	//mclint:owns -- a fill holds its entry only while queued on the return path; deliverFills completes it in fill() (the sole recycle point) and then zeroes the popped slots
 	e *mshrEntry
 }
 
@@ -120,8 +118,7 @@ type System struct {
 	warmed     bool
 
 	// kernelState is the event-kernel bookkeeping (see kernel.go);
-	// initialised only in the default execution mode (FastForward set,
-	// LegacyScan clear).
+	// initialised only in the default execution mode (FastForward set).
 	kernelState
 
 	mshr      mshrTable
@@ -148,18 +145,7 @@ type System struct {
 	// else about the run is untouched — obs-on is bit-identical to
 	// obs-off (TestObsDifferential). Nil costs one branch per Advance.
 	rec *obs.Recorder
-
-	// ffRetryAt throttles fast-forward attempts: after horizon() finds
-	// an active component, the system steps at least ffBackoff cycles
-	// before scanning again. Purely a cost control — jumps are
-	// semantics-preserving whenever they are taken, so deferring an
-	// attempt never changes results.
-	ffRetryAt uint64
 }
-
-// ffBackoff is the number of per-cycle steps taken after a failed
-// fast-forward attempt before the horizon is scanned again.
-const ffBackoff = 8
 
 // NewSystem builds a System from a validated Config.
 func NewSystem(cfg Config) (*System, error) {
@@ -251,7 +237,7 @@ func NewSystem(cfg Config) (*System, error) {
 			s.ioTenant = append(s.ioTenant, ti)
 		}
 	}
-	if cfg.FastForward && !cfg.LegacyScan {
+	if cfg.FastForward {
 		s.initKernel()
 	}
 	return s, nil
@@ -400,7 +386,7 @@ func (s *System) miss(now uint64, core int, addr uint64, store bool) cpu.AccessR
 	if store {
 		kind = memctrl.ReadStore
 	}
-	e := s.newMSHREntry(addr, ten, loc.Channel)
+	e := s.newMSHREntry(addr, ten)
 	if store {
 		e.stores = append(e.stores, core)
 	} else {
@@ -421,45 +407,13 @@ func (s *System) miss(now uint64, core int, addr uint64, store bool) cpu.AccessR
 	return cpu.AccessResult{Pending: true}
 }
 
-// completeFill routes a finished DRAM read toward the fill queue.
-// Controllers fire it (through the OnDone closure above) strictly
-// from inside Controller.Tick. In kernel mode the completion is
-// buffered per channel and merged into the fill queue by
-// drainFillBufs after the controller phase — the deferral that lets
-// the sharded run tick controllers concurrently, and equally the path
-// the serial kernel takes so both share one semantics (see shard.go).
-// The per-cycle and legacy-scan loops (fillBuf nil) schedule
-// directly, unchanged.
-//
-//mclint:shard
-func (s *System) completeFill(ch int, at uint64, e *mshrEntry) {
-	if s.fillBuf == nil {
-		s.scheduleFill(at, e) //mclint:shard-ok -- fillBuf is nil only when the kernel (and with it sharding) is off
-		return
-	}
-	s.fillBuf[ch] = append(s.fillBuf[ch], delayedFill{at: at, e: e})
-}
-
 // scheduleFill queues a completed read for delivery at cycle `at`
-// (insertion sort; the queue is bounded by the MSHR capacity).
-// Merge-only under the sharded kernel: it mutates the shared fill
-// queue and arms the coordinator-owned wake-up queue, so shard bodies
-// must route through completeFill instead.
-//
-//mclint:merge-only
+// (insertion sort, stable in arrival order for equal cycles; the queue
+// is bounded by the MSHR capacity) and keeps the kernel's fill source
+// armed at the new head. Controllers fire it (through the OnDone
+// closure) from inside Controller.Tick, in ascending channel order, so
+// the queue order is the same in every loop mode.
 func (s *System) scheduleFill(at uint64, e *mshrEntry) {
-	s.insertFill(at, e)
-	s.armFill()
-}
-
-// insertFill places one completed read into the fill queue (insertion
-// sort, stable in arrival order for equal cycles; the queue is bounded
-// by the MSHR capacity) without touching the wake-up queue — batch
-// callers arm once after the last insert. Merge-only under the
-// sharded kernel: it mutates the shared fill queue.
-//
-//mclint:merge-only
-func (s *System) insertFill(at uint64, e *mshrEntry) {
 	i := len(s.fillq)
 	s.fillq = append(s.fillq, delayedFill{})
 	for i > 0 && s.fillq[i-1].at > at {
@@ -467,17 +421,32 @@ func (s *System) insertFill(at uint64, e *mshrEntry) {
 		i--
 	}
 	s.fillq[i] = delayedFill{at: at, e: e}
+	s.armFill()
 }
 
 // deliverFills applies all fills due by `now`.
 //
 //mclint:hotpath
 func (s *System) deliverFills(now uint64) {
-	for len(s.fillq) > 0 && s.fillq[0].at <= now {
-		e := s.fillq[0].e
-		s.fillq = s.fillq[1:]
-		s.fill(now, e)
+	n := 0
+	for n < len(s.fillq) && s.fillq[n].at <= now {
+		s.fill(now, s.fillq[n].e)
+		n++
 	}
+	s.fillq = dropFront(s.fillq, n)
+}
+
+// dropFront removes the first n elements of q in place, shifting the
+// rest down and zeroing the vacated tail, so a FIFO popped this way
+// keeps reusing one backing array (popping by reslicing would make
+// later appends reallocate) and retains no stale pointers.
+func dropFront[T any](q []T, n int) []T {
+	if n == 0 {
+		return q
+	}
+	k := copy(q, q[n:])
+	clear(q[k:])
+	return q[:k]
 }
 
 // fill completes an LLC miss: installs the block, routes the L2
@@ -504,23 +473,22 @@ func (s *System) fill(now uint64, e *mshrEntry) {
 }
 
 // newMSHREntry takes a miss entry from the free list (or allocates
-// one) for a primary miss on addr served by channel ch. The waiter
-// slices keep their capacity across lives, and the OnDone closure is
-// created once per entry — it reads e.ch at fire time, so reuse needs
-// no new closure.
-func (s *System) newMSHREntry(addr uint64, ten, ch int) *mshrEntry {
+// one) for a primary miss on addr. The waiter slices keep their
+// capacity across lives, and the OnDone closure is created once per
+// entry, so reuse needs no new closure.
+func (s *System) newMSHREntry(addr uint64, ten int) *mshrEntry {
 	if n := len(s.freeMSHR); n > 0 {
 		e := s.freeMSHR[n-1]
 		s.freeMSHR[n-1] = nil
 		s.freeMSHR = s.freeMSHR[:n-1]
-		e.addr, e.tenant, e.ch = addr, ten, ch
+		e.addr, e.tenant = addr, ten
 		e.loads, e.stores = e.loads[:0], e.stores[:0]
 		return e
 	}
-	e := &mshrEntry{addr: addr, tenant: ten, ch: ch} //mclint:alloc-ok -- free-list cold path: minted only until the MSHR working set exists; steady-state misses pop freeMSHR above
-	//mclint:owns -- created once per entry and recycled with it; the closure re-reads e's fields at fire time, and fires only while the entry is resident in the table
-	e.onDone = func(at uint64) { //mclint:alloc-ok -- the closure is created once per entry (cold path) and recycled with it; reuse re-reads e.ch at fire time instead of re-closing
-		s.completeFill(e.ch, at+uint64(s.cfg.MemPathLatency), e)
+	e := &mshrEntry{addr: addr, tenant: ten} //mclint:alloc-ok -- free-list cold path: minted only until the MSHR working set exists; steady-state misses pop freeMSHR above
+	//mclint:owns -- created once per entry and recycled with it; the closure fires only while the entry is resident in the table
+	e.onDone = func(at uint64) { //mclint:alloc-ok -- the closure is created once per entry (cold path) and recycled with it
+		s.scheduleFill(at+uint64(s.cfg.MemPathLatency), e)
 	}
 	return e
 }
@@ -546,15 +514,16 @@ func (s *System) installL1(now uint64, core int, addr uint64, dirty bool) {
 // drainWritebacks pushes pending writebacks into the controllers,
 // preserving order, stopping at the first rejection.
 func (s *System) drainWritebacks(now uint64) {
-	for len(s.wbq) > 0 {
-		wb := s.wbq[0]
+	n := 0
+	for ; n < len(s.wbq); n++ {
+		wb := s.wbq[n]
 		loc := s.decode(wb.tenant, wb.addr)
 		if !s.ctrls[loc.Channel].EnqueueWrite(now, memctrl.Source{Core: wb.core, Tenant: wb.tenant}, wb.addr, loc, nil) {
-			return
+			break
 		}
 		s.notifyCtrl(loc.Channel, now)
-		s.wbq = s.wbq[1:]
 	}
+	s.wbq = dropFront(s.wbq, n)
 }
 
 // tickIO injects each tenant's DMA traffic, retrying rejected requests
@@ -565,8 +534,9 @@ func (s *System) tickIO(now uint64) {
 			s.ioq = append(s.ioq, pendingIO{addr: addr, write: write, tenant: s.ioTenant[i]})
 		}
 	}
-	for len(s.ioq) > 0 {
-		req := s.ioq[0]
+	n := 0
+	for ; n < len(s.ioq); n++ {
+		req := s.ioq[n]
 		loc := s.decode(req.tenant, req.addr)
 		ctl := s.ctrls[loc.Channel]
 		src := memctrl.Source{Core: -1, Tenant: req.tenant}
@@ -577,11 +547,11 @@ func (s *System) tickIO(now uint64) {
 			ok = ctl.EnqueueRead(now, src, req.addr, loc, memctrl.ReadPrefetch, nil)
 		}
 		if !ok {
-			return
+			break
 		}
 		s.notifyCtrl(loc.Channel, now)
-		s.ioq = s.ioq[1:]
 	}
+	s.ioq = dropFront(s.ioq, n)
 }
 
 // resetStats clears all measurement state at the warmup boundary.
@@ -728,9 +698,8 @@ func (s *System) Step() {
 }
 
 // stepNaive is the reference per-cycle loop: every component is ticked
-// every cycle. It drives the FastForward=false mode and the legacy
-// horizon-scan mode, and is the baseline every accelerated mode must
-// match bit-for-bit.
+// every cycle. It drives the FastForward=false mode and is the baseline
+// the event kernel must match bit-for-bit.
 func (s *System) stepNaive() {
 	now := s.cycle
 	s.deliverFills(now)
@@ -745,85 +714,13 @@ func (s *System) stepNaive() {
 	s.cycle++
 }
 
-// horizon returns the earliest cycle >= s.cycle at which any component
-// can change state, by scanning every component (the PR 1 engine; the
-// event kernel in kernel.go replaces this scan with queue lookups). A
-// result equal to s.cycle means some component is active now and the
-// clock must advance cycle-by-cycle.
-func (s *System) horizon() uint64 {
-	now := s.cycle
-	// Pending writebacks and rejected DMA requests retry every cycle.
-	if len(s.wbq) > 0 || len(s.ioq) > 0 {
-		return now
-	}
-	h := cpu.Never
-	for _, c := range s.cores {
-		e := c.NextEvent(now)
-		if e == now {
-			return now
-		}
-		if e < h {
-			h = e
-		}
-	}
-	if len(s.fillq) > 0 {
-		at := s.fillq[0].at
-		if at <= now {
-			return now
-		}
-		if at < h {
-			h = at
-		}
-	}
-	for _, ctl := range s.ctrls {
-		e := ctl.NextEvent(now)
-		if e == now {
-			return now
-		}
-		if e < h {
-			h = e
-		}
-	}
-	return h
-}
-
-// fastForward jumps the clock to the event horizon, bounded by limit
-// (the warmup boundary or the end of the run). It reports whether any
-// cycles were skipped; when it returns false the caller must Step. The
-// skipped cycles are provably inert: every core is stalled (their
-// stall counters are applied in bulk), every controller is inside its
-// own event horizon, no fill is due, and each IO agent's per-cycle
-// injection draws are replayed exactly by Scan/Skip — a jump cut short
-// by one agent leaves the others' scanned-silent windows to be
-// absorbed by their later Next calls.
-func (s *System) fastForward(limit uint64) bool {
-	h := s.horizon()
-	if h > limit {
-		h = limit
-	}
-	if h <= s.cycle {
-		return false
-	}
-	n := s.negotiateIOJump(h - s.cycle)
-	if n == 0 {
-		return false
-	}
-	to := s.cycle + n
-	for _, c := range s.cores {
-		c.Advance(s.cycle, to)
-	}
-	s.cycle = to
-	return true
-}
-
 // negotiateIOJump asks every IO agent to confirm up to n upcoming
 // cycles silent (consuming their per-cycle injection draws exactly
 // once via Scan) and returns the largest jump all agents agree to,
 // consuming that many confirmed-silent cycles with Skip. Zero means
 // some agent fires this cycle and the caller must step. A jump cut
 // short by one agent leaves the others' scanned-silent windows to be
-// absorbed by their later Next calls; both fast-forward engines share
-// this negotiation so their replay semantics cannot drift apart.
+// absorbed by their later Next calls.
 func (s *System) negotiateIOJump(n uint64) uint64 {
 	for _, a := range s.ios {
 		idle, fired := a.Scan(n)
@@ -841,10 +738,9 @@ func (s *System) negotiateIOJump(n uint64) uint64 {
 }
 
 // Advance simulates n cycles from the current clock, using the event
-// kernel by default, the legacy horizon-scan fast-forward engine when
-// Config.LegacyScan asks for it, and the per-cycle Step loop when
-// FastForward is off. All three paths produce bit-identical state and
-// statistics (kernel_test.go runs them side by side).
+// kernel by default and the per-cycle Step loop when FastForward is
+// off. Both paths produce bit-identical state and statistics
+// (kernel_test.go runs them side by side).
 func (s *System) Advance(n uint64) {
 	end := s.cycle + n
 	if s.rec == nil {
@@ -878,12 +774,6 @@ func (s *System) advanceTo(end uint64) {
 		return
 	}
 	for s.cycle < end {
-		if s.cfg.FastForward && s.cycle >= s.ffRetryAt {
-			if s.fastForward(end) {
-				continue
-			}
-			s.ffRetryAt = s.cycle + ffBackoff
-		}
 		s.stepNaive()
 	}
 }

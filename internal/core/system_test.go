@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"cloudmc/internal/sched"
@@ -78,5 +79,33 @@ func TestAllWorkloadsAllSchedulers(t *testing.T) {
 				t.Fatalf("%s/%s: dead system: %v", p.Acronym, k, m)
 			}
 		}
+	}
+}
+
+// TestSteadyStateAllocs guards the whole-system steady state: once the
+// MSHR free list, the controllers' request pools and the fill and
+// retry queues have grown to their working sets, further simulated
+// cycles must allocate almost nothing. The 0 allocs/op benchmark gate
+// covers only the controller hot paths; this covers the System loop
+// around them.
+func TestSteadyStateAllocs(t *testing.T) {
+	for _, p := range []workload.Profile{workload.DataServing(), workload.MapReduce()} {
+		t.Run(p.Acronym, func(t *testing.T) {
+			sys, err := NewSystem(DefaultConfig(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.FunctionalWarmup(0)
+			sys.Advance(100_000)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sys.Advance(100_000)
+			runtime.ReadMemStats(&after)
+			n := after.Mallocs - before.Mallocs
+			t.Logf("%s: %d mallocs over 100k steady-state cycles", p.Acronym, n)
+			if n >= 300 {
+				t.Fatalf("%s: %d mallocs over 100k steady-state cycles, want < 300", p.Acronym, n)
+			}
+		})
 	}
 }

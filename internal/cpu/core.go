@@ -191,8 +191,7 @@ func (c *Core) Tick(now uint64, port Port) {
 // store stuck behind a full store buffer). Between now and the
 // returned cycle, Tick is a no-op except for the stall counters, which
 // Advance applies in bulk. The event kernel (core/kernel.go) uses this
-// value as the core's wake-up time; the legacy horizon scan polls it
-// per fast-forward attempt.
+// value as the core's wake-up time.
 func (c *Core) NextEvent(now uint64) uint64 {
 	if c.blocked {
 		return Never

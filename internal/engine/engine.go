@@ -4,8 +4,8 @@
 // wake-up when they know the next cycle they can change state; the
 // simulation loop pops due sources in deterministic order and jumps
 // the clock straight to the earliest armed wake-up when nothing is
-// active, replacing the O(n) per-step horizon scans of the original
-// fast-forward engine with O(1)/O(log n) queue operations.
+// active, with O(1)/O(log n) queue operations instead of an O(n) scan
+// of every component's horizon.
 //
 // Determinism: pops are ordered by (wake time, registration rank), so
 // two runs that arm the same times in the same order observe the same

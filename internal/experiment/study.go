@@ -24,13 +24,6 @@ type Config struct {
 	Seed uint64
 	// Parallelism bounds concurrent simulations (0 = NumCPU).
 	Parallelism int
-	// Workers shards each simulation's controller phase across this
-	// many goroutines (core.Config.Workers: 0/1 = serial; clamped to
-	// the channel count; cross-channel schedulers fall back to
-	// serial). Results are bit-identical either way. Note the two
-	// parallelism axes multiply: a study already running Parallelism
-	// concurrent cells usually wants Workers at 1.
-	Workers int
 	// Workloads defaults to workload.All().
 	Workloads []workload.Profile
 	// MaxSlowdownSLO configures the QoS scheduler's per-tenant
@@ -175,7 +168,6 @@ func (s *Study) applyStudyConfig(cfg *core.Config, k runKey) {
 	cfg.WarmupCycles = s.cfg.WarmupCycles
 	cfg.WarmupInstrPerCore = s.cfg.WarmupInstrPerCore
 	cfg.Seed = s.cfg.Seed
-	cfg.Workers = s.cfg.Workers
 	// The paper's ATLAS quantum (10M cycles) assumes multi-billion-
 	// cycle samples; our compressed windows would never complete a
 	// quantum. Scale the quantum so ~10 fit in the measurement window

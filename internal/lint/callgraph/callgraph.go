@@ -7,8 +7,8 @@
 // interface sets the analyzers care about (memctrl.Policy, obs.Sink,
 // memctrl.CommandTrace).
 //
-// Before this package existed, horizonarm, shardsafe and groupsync
-// each hand-rolled their own same-package call-closure walk; they now
+// Before this package existed, horizonarm and groupsync each
+// hand-rolled their own same-package call-closure walk; they now
 // collect only their domain facts per function body and delegate
 // callee resolution and reachability (Closure) here. The graph is
 // built once per driver run and memoized in the run-wide

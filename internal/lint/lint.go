@@ -2,12 +2,11 @@
 // suite: maprange (no map-iteration order leaks), nodeterm (no
 // ambient nondeterminism sources), epochbump (dram timing mutations
 // bump their constraint epoch), horizonarm (horizon-moving entry
-// points re-arm the kernel wake-up queue), shardsafe (shard-confined
-// kernel code neither calls merge-only primitives nor writes package
-// globals), groupsync (memctrl queue-membership mutations update the
-// incremental candidate-group index), freelive (no pointer to a
-// free-listed object survives its recycle point), hotalloc
-// (//mclint:hotpath closures stay allocation-free). The
+// points re-arm the kernel wake-up queue), groupsync (memctrl
+// queue-membership mutations update the incremental candidate-group
+// index), freelive (no pointer to a free-listed object survives its
+// recycle point), hotalloc (//mclint:hotpath closures stay
+// allocation-free). The
 // interprocedural analyzers share one module-wide call graph
 // (internal/lint/callgraph), built once per run. cmd/mclint drives
 // the suite over package patterns; selfcheck_test.go keeps the module
@@ -28,7 +27,6 @@ import (
 	"cloudmc/internal/lint/loader"
 	"cloudmc/internal/lint/maprange"
 	"cloudmc/internal/lint/nodeterm"
-	"cloudmc/internal/lint/shardsafe"
 )
 
 // Analyzers returns the suite in its fixed reporting order.
@@ -38,7 +36,6 @@ func Analyzers() []*analysis.Analyzer {
 		nodeterm.Analyzer,
 		epochbump.Analyzer,
 		horizonarm.Analyzer,
-		shardsafe.Analyzer,
 		groupsync.Analyzer,
 		freelive.Analyzer,
 		hotalloc.Analyzer,

@@ -3,8 +3,8 @@
 // output derived from a map range — error text listing valid names,
 // option ordering, accumulated floating-point sums — varies from run
 // to run, which breaks the repo's bit-identical determinism contract
-// (naive vs. legacy-scan vs. kernel modes must produce identical
-// Metrics, and checkpoint/resume must replay exactly).
+// (the naive and kernel loop modes must produce identical Metrics,
+// and checkpoint/resume must replay exactly).
 //
 // A map range is accepted when:
 //

@@ -142,14 +142,10 @@ type completion struct {
 // Reads forwarded from the write queue never touch DRAM and are
 // therefore not traced.
 //
-// Under the sharded kernel (core.Config.Workers > 1) controllers of
-// different channels tick concurrently, so an implementation shared
-// across channels must be safe for concurrent Command calls
-// (obs.TraceWriter locks internally). Calls for one channel are
-// always serialized; cross-channel line order in a shared sink is
-// scheduling-dependent, which is why consumers sort by the
-// documented (cycle, channel) key — a total order, since a
-// controller issues at most one command per cycle.
+// A simulation ticks its controllers one at a time in ascending
+// channel order, so a trace shared across channels sees commands in
+// (cycle, channel) order — a total order, since a controller issues at
+// most one command per cycle.
 type CommandTrace interface {
 	Command(now uint64, cmd dram.Command, tenant int)
 }
@@ -599,7 +595,7 @@ func (c *Controller) scheduleCompletion(r *Request, at uint64) {
 }
 
 // noteEnqueue re-establishes the event horizon after r entered a
-// queue. The legacy engine reset wakeAt to "unknown", forcing a full
+// queue. Resetting wakeAt to "unknown" would force a full
 // tick — an O(queued requests + ranks×banks) rescan — even when the
 // new request cannot issue for hundreds of cycles (write-drain
 // shadows, tFAW stalls). A parked controller instead re-arms in O(1):
@@ -639,7 +635,7 @@ func (c *Controller) noteEnqueue(r *Request, now uint64) {
 	if c.requestConsidered(r) {
 		if at := c.earliestFor(r); at < c.wakeAt {
 			// at <= now simply makes NextEvent report "due now"; the
-			// full tick then runs this cycle like the legacy reset.
+			// full tick then runs this cycle like a reset.
 			c.wakeAt = at
 		}
 	}
@@ -715,14 +711,6 @@ func (c *Controller) setPendingClose(idx int, v bool) {
 // the queue contents, bank states, drain mode and policy state are all
 // provably unchanged, and the skipped queue-occupancy samples are
 // recovered exactly by the time-weighted trackers.
-//
-// Tick confines itself to this controller's state (its channel, banks,
-// queues, policy, trackers) plus the OnDone and trace callbacks — the
-// property that lets the sharded kernel tick controllers of different
-// channels concurrently. Anything new reaching shared state from
-// inside Tick must go through a per-channel buffer the way OnDone
-// completions do (core's fill buffering), or lock like
-// obs.TraceWriter.
 //
 //mclint:hotpath
 func (c *Controller) Tick(now uint64) {

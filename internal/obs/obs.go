@@ -18,14 +18,12 @@
 //   - Deterministic. No wall clock, no maps iterated in emit paths;
 //     everything is keyed to the simulated cycle. Wall-clock concerns
 //     (sims/sec, HTTP status) live in cmd/internal/monitor.
-//   - Parallel-safe by construction. Interval snapshots are taken by
-//     the kernel coordinator between stepped cycles — never while the
-//     sharded controller phase is in flight — and counters are merged
-//     in ascending channel order, so Recorder output (JSONL and CSV)
-//     is byte-identical under core.Config.Workers > 1. Only the
-//     TraceWriter sees concurrency (controllers tick in parallel) and
-//     only in file-line order; see its doc for the (cycle, channel)
-//     sort key that recovers the serial byte stream.
+//   - Stable output. Interval snapshots are taken between stepped
+//     cycles and counters are merged in ascending channel order, and a
+//     simulation ticks its controllers one at a time, so Recorder
+//     output (JSONL and CSV) and traces are byte-identical from run to
+//     run. Concurrency exists only across simulations (parallel study
+//     cells), which share sinks and files but never a System.
 package obs
 
 import (

@@ -22,14 +22,11 @@ import (
 // tenant -1 marks commands without an attributable requester
 // (page-policy precharges); the "tenant" field is omitted then.
 //
-// Command is safe for concurrent callers; under the sharded kernel
-// (core.Config.Workers > 1) controllers of different channels tick in
-// parallel and interleave their lines nondeterministically. The
-// commands themselves are bit-identical to a serial run — only file
-// order varies — and (cycle, channel) is a total order over the
-// lines (one command per controller per cycle), so a stable sort by
-// that key reproduces the serial trace byte for byte. A serial run
-// already emits in (cycle, channel) order.
+// One simulation emits its lines in (cycle, channel) order. The
+// writer locks internally so that its buffer and counters stay
+// consistent when another goroutine reads them: mcmix's parallel cells
+// each own a writer on one shared file, and the driver flushes and
+// checks them all after the sweep.
 type TraceWriter struct {
 	mu     sync.Mutex
 	w      io.Writer

@@ -84,21 +84,10 @@ func ParseKind(name string) (Kind, error) {
 
 // Factory builds one policy instance per memory channel. Instances
 // returned by the same Factory share cross-channel state where the
-// algorithm requires it (ATLAS).
+// algorithm requires it: ATLAS ranks requesters by service attained
+// across all controllers and QoS tracks slowdowns the same way, so
+// their instances close over one shared tracker.
 type Factory func(channel int) memctrl.Policy
-
-// CrossChannel reports whether kind's per-channel policy instances
-// share mutable cross-channel state: ATLAS ranks requesters by
-// service attained across all controllers and QoS tracks slowdowns
-// the same way, so NewFactoryOpts closes their instances over one
-// shared tracker. Ticking two such controllers concurrently would
-// race on that tracker, so the event kernel's sharded run
-// (core.Config.Workers) falls back to serial for these algorithms.
-// FCFS_Banks, FR-FCFS, PAR-BS and RL keep all state per channel (RL
-// seeds its exploration stream per channel) and shard freely.
-func CrossChannel(kind Kind) bool {
-	return kind == ATLAS || kind == QoS
-}
 
 // Opts parameterizes policy construction. Zero-valued sub-configs
 // select the paper's Table 3 defaults.

@@ -223,9 +223,8 @@ func MemoryHog() Profile {
 // WithCores returns a copy of p resized to n cores, with the acronym
 // re-labelled ("DS" becomes "DS-256c") so study cells and benchmark
 // names stay self-describing. It is the constructor behind the
-// large-machine scaling profiles: the ROADMAP's 256-1024-core
-// multi-channel configs that the sharded kernel (core.Config.Workers)
-// exists for. Per-core regions (hot bytes, intensity pattern) keep
+// large-machine scaling profiles: the 256-1024-core multi-channel
+// configs. Per-core regions (hot bytes, intensity pattern) keep
 // their per-core meaning; the intensity pattern tiles across the
 // larger core count exactly as the generator already tiles it.
 func (p Profile) WithCores(n int) Profile {
@@ -239,8 +238,8 @@ func (p Profile) WithCores(n int) Profile {
 // DataServing256 is the 256-core scaling profile: the Table 1 data
 // store resized to the ROADMAP's large-machine regime. Pair it with
 // an 8-channel Config — 32 cores per channel, the same pressure ratio
-// as the paper's 16-core/1-channel baseline — for the parallel-kernel
-// scaling benchmarks.
+// as the paper's 16-core/1-channel baseline — for the large-machine
+// benchmarks.
 func DataServing256() Profile {
 	return DataServing().WithCores(256)
 }
