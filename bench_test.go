@@ -456,30 +456,47 @@ func BenchmarkControllerParkReArm(b *testing.B) {
 }
 
 // BenchmarkBuildOptions isolates the busy-path option builder: a
-// controller with a standing read queue ticks under FR-FCFS, issuing
-// one command per cycle while enqueues keep the queue at a fixed
-// depth — the steady-state busy regime where the per-tick candidate
-// grouping dominates. q48 fits the default queue caps; q224 is the
-// deep-queue variant (the hyperscale regime ISSUE 9 targets), where
-// rebuilding the group table per tick costs O(queue) but the actual
-// change per tick is one dequeue plus one enqueue. Requests spread
-// over every bank with a few rows per bank, so the option set holds a
-// realistic mix of activates, row hits and conflicts. allocs/op is
-// reported: the steady-state busy path is expected to run
-// allocation-free.
+// controller with a standing read queue ticks, issuing one command per
+// cycle while enqueues keep the queue at a fixed depth — the
+// steady-state busy regime where the per-tick candidate grouping
+// dominates. q48 fits the default queue caps; q224 is the deep-queue
+// (hyperscale) variant, where rebuilding the group table per tick
+// costs O(queue) but the actual change per tick is one dequeue plus
+// one enqueue. Both run FR-FCFS. atlas-q48 and qos-q48 run the
+// rank-ordered schedulers instead, per core and per tenant, with
+// requests spread over 16 cores and 4 tenants and a short quantum, so
+// every pick scans the queue under ranks that change as service
+// accrues. Requests spread over every bank with a few rows per bank,
+// so the option set holds a realistic mix of activates, row hits and
+// conflicts. allocs/op is reported: the steady-state busy path,
+// scheduler included, is expected to run allocation-free.
 func BenchmarkBuildOptions(b *testing.B) {
 	geo := dram.Geometry{Channels: 1, Ranks: 4, Banks: 8, Rows: 1 << 14, Columns: 64, BlockBytes: 64}
-	src := memctrl.Source{Core: 1, Tenant: -1}
-	for _, depth := range []int{48, 224} {
-		depth := depth
-		b.Run("q"+itoa(depth), func(b *testing.B) {
+	atlas := sched.DefaultATLASConfig()
+	atlas.QuantumCycles = 5_000
+	qos := sched.DefaultQoSConfig()
+	qos.QuantumCycles = 5_000
+	for _, bc := range []struct {
+		name   string
+		depth  int
+		kind   sched.Kind
+		opts   sched.Opts
+		spread bool // sources vary over cores and tenants
+	}{
+		{"q48", 48, sched.FRFCFS, sched.Opts{Cores: 16}, false},
+		{"q224", 224, sched.FRFCFS, sched.Opts{Cores: 16}, false},
+		{"atlas-q48", 48, sched.ATLAS, sched.Opts{Cores: 16, ATLAS: atlas}, true},
+		{"qos-q48", 48, sched.QoS, sched.Opts{Cores: 16, Tenants: 4, QoS: qos}, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			depth := bc.depth
 			cfg := memctrl.DefaultConfig()
 			cfg.ReadQueueCap = depth + 16
 			cfg.WriteQueueCap = depth + 16
 			cfg.WriteHi = depth
 			cfg.WriteLo = depth / 4
 			ch := dram.NewChannel(0, geo, dram.DDR3_1600())
-			pol := sched.NewFactoryOpts(sched.FRFCFS, sched.Opts{Cores: 16})(0)
+			pol := sched.NewFactoryOpts(bc.kind, bc.opts)(0)
 			ctl, err := memctrl.New(cfg, ch, pol, pagepolicy.NewOpenAdaptive())
 			if err != nil {
 				b.Fatal(err)
@@ -488,6 +505,10 @@ func BenchmarkBuildOptions(b *testing.B) {
 			banks := geo.Ranks * geo.Banks
 			seq := 0
 			enq := func(now uint64) bool {
+				src := memctrl.Source{Core: 1, Tenant: -1}
+				if bc.spread {
+					src = memctrl.Source{Core: seq % 16, Tenant: seq % 4}
+				}
 				loc := dram.Location{
 					Channel: 0,
 					Rank:    (seq % banks) / geo.Banks,
@@ -534,13 +555,10 @@ func BenchmarkControllerTick(b *testing.B) {
 	for i := 0; i < 50_000; i++ {
 		sys.Step()
 	}
-	ctl := sys.Controllers()[0]
-	_ = ctl
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Step()
 	}
-	_ = memctrl.DefaultConfig()
 }
 
 func itoa(v int) string {

@@ -41,9 +41,12 @@ type View struct {
 	// Channel identifies the controller's channel.
 	Channel int
 	// ReadQueue and WriteQueue expose the controller's queues in
-	// arrival order. Policies must treat them as read-only; they are
-	// valid only for the duration of the Pick call. Policies that need
-	// whole-queue visibility (PAR-BS batching) use these.
+	// arrival order, which is ID-ascending: IDs are assigned at enqueue
+	// and removals preserve order. Policies must treat them as
+	// read-only; they are valid only for the duration of the Pick call.
+	// Policies that need whole-queue visibility use these: PAR-BS
+	// batching, and the ATLAS/QoS bounded rank scan, which relies on
+	// the ID order to read queue position as age.
 	//mclint:owns -- aliases of the live queues, valid only within one Pick call; queue membership cannot change (and so nothing can recycle) while the policy holds the View
 	ReadQueue, WriteQueue []*Request
 }

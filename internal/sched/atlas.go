@@ -49,7 +49,9 @@ type ServiceTracker struct {
 	service []float64
 	total   []float64
 	// rank[slot]: 0 is the highest priority (least attained service).
-	rank        []int
+	rank []int
+	// order is the rollover's sort scratch, allocated once.
+	order       []int
 	nextQuantum uint64
 }
 
@@ -62,6 +64,7 @@ func NewServiceTracker(cores int, cfg ATLASConfig) *ServiceTracker {
 		service:     make([]float64, n),
 		total:       make([]float64, n),
 		rank:        make([]int, n),
+		order:       make([]int, n),
 		nextQuantum: cfg.QuantumCycles,
 	}
 	return t
@@ -85,7 +88,7 @@ func (t *ServiceTracker) Tick(now uint64) {
 		t.service[i] = 0
 	}
 	// Rank by total ascending (insertion sort over <=17 slots).
-	order := make([]int, len(t.total))
+	order := t.order
 	for i := range order {
 		order[i] = i
 	}
@@ -132,19 +135,28 @@ type ATLASPolicy struct {
 	// byTenant ranks by Request.Tenant instead of Request.Core
 	// (multi-tenant systems; the tracker is then sized per tenant).
 	byTenant bool
+	// top is pickRanked's scan-window scratch.
+	top []uint64
 }
 
 // NewATLAS returns an ATLAS policy sharing the given tracker, ranking
 // per core (the paper's configuration).
 func NewATLAS(cfg ATLASConfig, tracker *ServiceTracker) *ATLASPolicy {
-	return &ATLASPolicy{cfg: cfg, tracker: tracker}
+	return newATLAS(cfg, tracker, false)
 }
 
 // NewATLASTenants returns an ATLAS policy that accounts and ranks
 // attained service per tenant; the tracker must be sized with the
 // tenant count.
 func NewATLASTenants(cfg ATLASConfig, tracker *ServiceTracker) *ATLASPolicy {
-	return &ATLASPolicy{cfg: cfg, tracker: tracker, byTenant: true}
+	return newATLAS(cfg, tracker, true)
+}
+
+func newATLAS(cfg ATLASConfig, tracker *ServiceTracker, byTenant bool) *ATLASPolicy {
+	return &ATLASPolicy{
+		cfg: cfg, tracker: tracker, byTenant: byTenant,
+		top: make([]uint64, scanDepth(cfg.ScanDepth, 2)),
+	}
 }
 
 // slot maps a request to its service-tracker slot: its tenant in
@@ -211,73 +223,5 @@ func (p *ATLASPolicy) Pick(v *memctrl.View) int {
 	if best >= 0 {
 		return best
 	}
-
-	// Walk queued requests in (LAS rank, age) order; issue the first
-	// legal command found within the scan window.
-	scan := p.cfg.ScanDepth
-	if scan <= 0 {
-		scan = 2
-	}
-	for n := 0; n < scan; n++ {
-		req := p.nthByRank(v, n)
-		if req == nil {
-			return -1
-		}
-		for i := range v.Options {
-			if v.Options[i].Req == req {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
-// nthByRank returns the n-th queued read request under (rank, age)
-// ordering, or nil when fewer requests are queued. n is small (the
-// scan depth), so repeated selection scans beat sorting.
-func (p *ATLASPolicy) nthByRank(v *memctrl.View, n int) *memctrl.Request {
-	var prev *memctrl.Request
-	for k := 0; k <= n; k++ {
-		var best *memctrl.Request
-		for _, r := range v.ReadQueue {
-			if !p.after(r, prev) {
-				continue
-			}
-			if best == nil || p.before(r, best) {
-				best = r
-			}
-		}
-		if best == nil {
-			return nil
-		}
-		prev = best
-	}
-	return prev
-}
-
-// before reports whether a precedes b in (rank, age) order.
-func (p *ATLASPolicy) before(a, b *memctrl.Request) bool {
-	ra := p.tracker.Rank(p.slot(a))
-	rb := p.tracker.Rank(p.slot(b))
-	if ra != rb {
-		return ra < rb
-	}
-	return a.ID < b.ID
-}
-
-// after reports whether r comes strictly after prev (nil prev = start).
-func (p *ATLASPolicy) after(r, prev *memctrl.Request) bool {
-	if prev == nil {
-		return true
-	}
-	return p.before(prev, r)
-}
-
-func less3(a, b [3]int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	return pickRanked(v, p.tracker.rank, p.byTenant, p.top)
 }

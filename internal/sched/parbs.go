@@ -31,6 +31,17 @@ type PARBSPolicy struct {
 	remaining int
 	// rank[slot] is the core's batch rank; lower ranks first.
 	rank []int
+	// loads[slot] counts a slot's marked requests per bank (keyed
+	// rank<<8|bank); loads and jobs are formBatch's scratch, allocated
+	// once and reset per batch.
+	loads []map[int]int
+	jobs  []coreJob
+}
+
+// coreJob is one slot's job length in a batch: its maximum and total
+// marked requests over banks.
+type coreJob struct {
+	slot, maxLoad, total int
 }
 
 // NewPARBS returns a PAR-BS policy for a system with the given core
@@ -39,7 +50,14 @@ func NewPARBS(cfg PARBSConfig, cores int) *PARBSPolicy {
 	if cfg.BatchingCap <= 0 {
 		cfg.BatchingCap = 5
 	}
-	return &PARBSPolicy{cfg: cfg, cores: cores, rank: make([]int, cores+1)}
+	loads := make([]map[int]int, cores+1)
+	for i := range loads {
+		loads[i] = make(map[int]int)
+	}
+	return &PARBSPolicy{
+		cfg: cfg, cores: cores, rank: make([]int, cores+1),
+		loads: loads, jobs: make([]coreJob, 0, cores+1),
+	}
 }
 
 // Name implements memctrl.Policy.
@@ -68,12 +86,9 @@ func (*PARBSPolicy) OnIssue(*memctrl.View, int, dram.Command, uint64) {}
 // formBatch marks up to BatchingCap oldest requests per (core, bank)
 // from the read queue and ranks cores shortest-job-first.
 func (p *PARBSPolicy) formBatch(v *memctrl.View) {
-	// load[slot][bank] counts marked requests; banks keyed by
-	// rank*banks+bank packed into an int map per slot.
-	type slotLoad map[int]int
-	loads := make([]slotLoad, p.cores+1)
-	for i := range loads {
-		loads[i] = make(slotLoad)
+	loads := p.loads
+	for _, l := range loads {
+		clear(l)
 	}
 	marked := 0
 	// The read queue is in arrival order, so scanning forward marks
@@ -92,10 +107,7 @@ func (p *PARBSPolicy) formBatch(v *memctrl.View) {
 
 	// Shortest job first: a core's job length is its max per-bank
 	// marked count; rank 0 is the shortest.
-	type coreJob struct {
-		slot, maxLoad, total int
-	}
-	jobs := make([]coreJob, 0, p.cores+1)
+	jobs := p.jobs[:0]
 	for slot, l := range loads {
 		j := coreJob{slot: slot}
 		//mclint:order-insensitive -- max and sum over the values; both reductions are commutative

@@ -64,7 +64,9 @@ type QoSTracker struct {
 	est      []float64
 	violator []bool
 	rank     []int
-	next     uint64
+	// order is the rollover's sort scratch, allocated once.
+	order []int
+	next  uint64
 }
 
 // NewQoSTracker returns a tracker for n slots (tenants, typically)
@@ -79,6 +81,7 @@ func NewQoSTracker(n int, cfg QoSConfig) *QoSTracker {
 		est:      make([]float64, slots),
 		violator: make([]bool, slots),
 		rank:     make([]int, slots),
+		order:    make([]int, slots),
 		next:     cfg.QuantumCycles,
 	}
 	return t
@@ -146,21 +149,16 @@ func (t *QoSTracker) Tick(now uint64) {
 		t.violator[i] = t.est[i] > t.cfg.MaxSlowdownSLO
 	}
 	// Rank: (violator first, then LAS rank) — insertion sort over the
-	// handful of slots.
-	order := make([]int, len(t.rank))
+	// handful of slots, in the once-allocated order scratch.
+	order, vio, las := t.order, t.violator, t.svc.rank
 	for i := range order {
 		order[i] = i
-	}
-	before := func(x, y int) bool {
-		if t.violator[x] != t.violator[y] {
-			return t.violator[x]
-		}
-		return t.svc.Rank(x) < t.svc.Rank(y)
 	}
 	for i := 1; i < len(order); i++ {
 		j := order[i]
 		k := i - 1
-		for k >= 0 && before(j, order[k]) {
+		for k >= 0 && (vio[j] != vio[order[k]] && vio[j] ||
+			vio[j] == vio[order[k]] && las[j] < las[order[k]]) {
 			order[k+1] = order[k]
 			k--
 		}
@@ -185,11 +183,16 @@ type QoSPolicy struct {
 	// back to per-core slots, which makes QoS degenerate to
 	// ATLAS-with-SLO on solo systems.
 	byTenant bool
+	// top is pickRanked's scan-window scratch.
+	top []uint64
 }
 
 // NewQoS returns a QoS policy sharing the given tracker.
 func NewQoS(cfg QoSConfig, tracker *QoSTracker, byTenant bool) *QoSPolicy {
-	return &QoSPolicy{cfg: cfg, tracker: tracker, byTenant: byTenant}
+	return &QoSPolicy{
+		cfg: cfg, tracker: tracker, byTenant: byTenant,
+		top: make([]uint64, scanDepth(cfg.ScanDepth, 4)),
+	}
 }
 
 // slot maps a request to its tracker slot.
@@ -253,53 +256,5 @@ func (p *QoSPolicy) Pick(v *memctrl.View) int {
 	if best >= 0 {
 		return best
 	}
-	scan := p.cfg.ScanDepth
-	if scan <= 0 {
-		scan = 4
-	}
-	for n := 0; n < scan; n++ {
-		req := p.nthByRank(v, n)
-		if req == nil {
-			return -1
-		}
-		for i := range v.Options {
-			if v.Options[i].Req == req {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
-// nthByRank returns the n-th queued read under (rank, age) ordering,
-// or nil when fewer are queued (the ATLAS selection scan with the
-// QoS comparator).
-func (p *QoSPolicy) nthByRank(v *memctrl.View, n int) *memctrl.Request {
-	var prev *memctrl.Request
-	for k := 0; k <= n; k++ {
-		var best *memctrl.Request
-		for _, r := range v.ReadQueue {
-			if prev != nil && !p.before(prev, r) {
-				continue
-			}
-			if best == nil || p.before(r, best) {
-				best = r
-			}
-		}
-		if best == nil {
-			return nil
-		}
-		prev = best
-	}
-	return prev
-}
-
-// before reports whether a precedes b in (rank, age) order.
-func (p *QoSPolicy) before(a, b *memctrl.Request) bool {
-	ra := p.tracker.Rank(p.slot(a))
-	rb := p.tracker.Rank(p.slot(b))
-	if ra != rb {
-		return ra < rb
-	}
-	return a.ID < b.ID
+	return pickRanked(v, p.tracker.rank, p.byTenant, p.top)
 }
