@@ -259,7 +259,7 @@ func BenchmarkAblationATLASScanDepth(b *testing.B) {
 // The 64-core profile is the regime the kernel exists for, where most
 // cores and controllers sit parked on any given cycle. WH
 // (write-heavy) and BC (high bank-conflict) pin the park-heavy regime
-// the per-bank wake-up horizons optimize: drain shadows and
+// the controller park horizons optimize: drain shadows and
 // precharge/tFAW stalls, where controllers spend most cycles parked
 // and enqueues re-arm them.
 func BenchmarkSimulatorThroughput(b *testing.B) {
@@ -369,17 +369,15 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkControllerParkReArm isolates the exact path the per-bank
-// wake-up horizons optimize, without the core/cache simulation that
-// dominates the system benchmarks: a controller parked mid-write-drain
-// (the next precharge is in the tWR shadow, a ~20-cycle window with a
-// known future horizon) receives a burst of read enqueues, the
-// kernel's enqueue-notify pattern applied after each one. Before the
-// per-bank horizons, every enqueue reset the horizon to "unknown" and
-// the resulting tick re-scanned the whole write queue plus every bank
-// (O(queued + ranks×banks) per enqueue); now each enqueue re-arms the
-// park in O(1). Each timed op is one enqueue plus whatever tick the
-// controller then demands.
+// BenchmarkControllerParkReArm isolates the controller's enqueue
+// re-arm, without the core/cache simulation that dominates the system
+// benchmarks: a controller parked mid-write-drain (the next precharge
+// is in the tWR shadow, a ~20-cycle window with a known future
+// horizon) receives a burst of read enqueues, the kernel's
+// enqueue-notify pattern applied after each one. Each enqueue must
+// re-arm the park in O(1) (noteEnqueue) rather than reset the horizon
+// to "unknown" and force a full tick. Each timed op is one enqueue
+// plus whatever tick the controller then demands.
 func BenchmarkControllerParkReArm(b *testing.B) {
 	geo := dram.Geometry{Channels: 1, Ranks: 2, Banks: 8, Rows: 1 << 12, Columns: 64, BlockBytes: 64}
 	src := memctrl.Source{Core: 1, Tenant: -1}

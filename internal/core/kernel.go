@@ -123,13 +123,12 @@ func (s *System) settleCores() {
 }
 
 // notifyCtrl re-evaluates a parked controller's horizon after the
-// System pushed work into it at cycle now. Wake-ups are
-// bank-granular: an enqueue whose command cannot issue yet only
-// lowers the controller's established horizon to that one bank's
-// earliest-issue cycle (memctrl.Controller.noteEnqueue, an O(1)
-// re-arm against the per-bank horizon cache), so NextEvent usually
-// stays in the future and the controller remains parked — the queue
-// source is simply re-armed earlier instead of ticking this cycle. A
+// System pushed work into it at cycle now. An enqueue whose command
+// cannot issue yet only lowers the controller's established horizon
+// to that request's earliest-issue cycle (memctrl.Controller.
+// noteEnqueue, an O(1) re-arm), so NextEvent usually stays in the
+// future and the controller remains parked — the queue source is
+// simply re-armed earlier instead of ticking this cycle. A
 // mode change (drain watermark, empty-read-queue transition) or a
 // pending page-policy close resets the horizon to "unknown" and
 // activates the controller as before; a forwarded read schedules a

@@ -185,12 +185,12 @@ func TestKernelChunkedAdvance(t *testing.T) {
 }
 
 // stepAndAudit single-steps a kernel-mode system and, every time a
-// controller's park horizon moves (a park, a re-park, or a
-// bank-granular re-arm from an enqueue), replays the parked window
-// cycle by cycle against the raw DRAM legality rules: horizons must
-// be exact — never late (a legal command inside the window would
-// desynchronize the engines) and never early (a spurious wake would
-// mask lateness bugs by brute force).
+// controller's park horizon moves (a park, a re-park, or an O(1)
+// re-arm from an enqueue), replays the parked window cycle by cycle
+// against the raw DRAM legality rules: horizons must be exact — never
+// late (a legal command inside the window would desynchronize the
+// engines) and never early (a spurious wake would mask lateness bugs
+// by brute force).
 func stepAndAudit(t *testing.T, cfg Config, cycles uint64, label string) {
 	t.Helper()
 	sys, err := NewSystem(cfg)
@@ -224,7 +224,7 @@ func stepAndAudit(t *testing.T, cfg Config, cycles uint64, label string) {
 }
 
 // TestParkHorizonExactness is the system-level property test of the
-// per-bank wake-up horizons: randomized profiles (including >16-core
+// controllers' park horizons: randomized profiles (including >16-core
 // configs and DMA agents) under FR-FCFS, ATLAS, PAR-BS and QoS, plus
 // an isolated multi-tenant mix, all audited park by park.
 func TestParkHorizonExactness(t *testing.T) {
@@ -271,7 +271,7 @@ func TestParkHorizonExactness(t *testing.T) {
 }
 
 // TestKernelWriteHeavyEquivalence pins the park-heavy regime the
-// per-bank horizons optimize: a write-dominated profile spends most
+// park horizons optimize: a write-dominated profile spends most
 // of its time in drain shadows, where enqueues into parked
 // controllers take the O(1) re-arm path. Both loop modes must stay
 // bit-identical through it.

@@ -31,10 +31,10 @@ type Bank struct {
 
 	// epoch counts the commands applied to this bank. Every mutation
 	// of the bank-level constraint state (activate, read, write,
-	// precharge) bumps it, so a cached earliest-issue horizon stamped
+	// precharge) bumps it, so a cached earliest-issue cycle stamped
 	// with the epoch is valid exactly while the stamp matches — the
-	// invalidation scheme behind the controller's per-bank wake-up
-	// cache.
+	// invalidation scheme behind the controller's candidate-group
+	// cache, which its option builder and park horizon both read.
 	epoch uint32
 
 	// actAllowedAt is the earliest cycle an ACTIVATE may issue
@@ -61,8 +61,8 @@ func (b *Bank) RowAccesses() int { return b.rowAccesses }
 
 // Epoch returns the bank's constraint epoch: it changes whenever a
 // command to this bank changes the bank-level legality thresholds
-// (state, open row, act/col/pre allowed-at times). Horizon caches
-// stamp entries with it and revalidate by comparison.
+// (state, open row, act/col/pre allowed-at times). Earliest-issue
+// caches stamp entries with it and revalidate by comparison.
 func (b *Bank) Epoch() uint32 { return b.epoch }
 
 // CanActivate reports whether an ACTIVATE is legal at cycle now,

@@ -67,11 +67,11 @@ type Channel struct {
 	// dataEpoch counts column accesses on this channel. The
 	// channel-level data-bus constraints (dataFreeAt, tWTR, the
 	// read-to-write bubble) move only on a READ or WRITE, so cached
-	// column horizons stamped with it revalidate by comparison. The
-	// command bus deliberately has no epoch: its constraint is
-	// lastCmdAt+1, which never exceeds the current cycle of a parked
-	// controller and is therefore always absorbed by the horizon's
-	// now+1 clamp.
+	// column earliest-issue cycles stamped with it revalidate by
+	// comparison. The command bus deliberately has no epoch: its
+	// constraint is lastCmdAt+1, which before the controller issues in
+	// a cycle never exceeds that cycle, so it can neither make a
+	// command legal now nor move a cycle that lies in the future.
 	dataEpoch uint32
 }
 

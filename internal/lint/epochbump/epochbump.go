@@ -1,12 +1,12 @@
-// Package epochbump guards the horizon-cache invalidation contract of
-// cloudmc/internal/dram: the memory controller caches per-bank
-// earliest-issue horizons stamped with the DRAM constraint epochs
-// (Bank.Epoch, Rank.ActEpoch, Channel.DataEpoch) and revalidates them
-// by comparison, so every mutation of a timing field MUST bump the
-// matching epoch in the same function — otherwise a stale cached
-// horizon survives the state change and the fast-forward engine can
-// wake late (or skip a legal cycle), silently diverging from the
-// naive loop.
+// Package epochbump guards the cache invalidation contract of
+// cloudmc/internal/dram: the memory controller caches each candidate
+// group's command and earliest-issue cycle stamped with the DRAM
+// constraint epochs (Bank.Epoch, Rank.ActEpoch, Channel.DataEpoch) and
+// revalidates them by comparison, so every mutation of a timing field
+// MUST bump the matching epoch in the same function — otherwise a
+// stale cached cycle survives the state change, and the option builder
+// and the park horizon can act late (or skip a legal cycle), silently
+// diverging from the naive loop.
 //
 // The contract, per type:
 //
@@ -15,8 +15,9 @@
 //	Channel: dataFreeAt, lastWriteDataEnd, lastReadDataEnd           -> dataEpoch
 //
 // The command-bus fields (lastCmdAt, anyCmd) are deliberately outside
-// the contract: their constraint never exceeds a parked controller's
-// current cycle, so the horizon fold's now+1 clamp absorbs them (see
+// the contract: before the controller issues in a cycle their
+// constraint never exceeds that cycle, so it cannot decide whether a
+// command is legal now or how long a parked controller sleeps (see
 // the dram.Channel.dataEpoch comment).
 package epochbump
 
@@ -122,8 +123,8 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		if pass.Suppressed(fd, "allow epochbump") {
 			continue
 		}
-		pass.Reportf(pos, "%s mutates %s.%s but never bumps %s.%s; a cached horizon stamped with "+
-			"the old epoch would survive this state change (see the bankHorizon revalidation contract)",
+		pass.Reportf(pos, "%s mutates %s.%s but never bumps %s.%s; a cached earliest-issue cycle stamped with "+
+			"the old epoch would survive this state change (see the memctrl group-cache revalidation contract)",
 			fd.Name.Name, tname, mutField[tname], tname, contract[tname].epoch)
 	}
 }

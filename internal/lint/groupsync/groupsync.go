@@ -2,15 +2,14 @@
 // contract of cloudmc/internal/memctrl: the controller keeps one live
 // group entry per (bankIdx, row) — the input of buildOptions —
 // updated incrementally as requests enter and leave the queues. Any
-// function that changes queue membership (the readQ/writeQ slices or
-// a bankQueue's reads/writes bucket) or flips the write-drain mode
-// MUST update the index in the same function, by calling one of the
-// maintenance entry points (groupNote, groupRemove, groupEnqueue,
-// groupFold) or rebuilding the option set (buildOptions, which folds
-// pending updates). Otherwise the index silently diverges from the
-// queues and the incremental option builder emits a stale candidate
-// set — a divergence only the differential suites would catch, one
-// randomized stream too late.
+// function that changes queue membership (the readQ/writeQ slices) or
+// flips the write-drain mode MUST update the index in the same
+// function, by calling one of the maintenance entry points (groupNote,
+// groupRemove, groupEnqueue, groupFold) or rebuilding the option set
+// (buildOptions, which folds pending updates). Otherwise the index
+// silently diverges from the queues and the incremental option builder
+// emits a stale candidate set — a divergence only the differential
+// suites would catch, one randomized stream too late.
 //
 // The group type's own reads/writes lists are deliberately outside
 // the contract: mutating them IS the index maintenance.
@@ -29,7 +28,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "groupsync",
 	Doc: "requires every function in cloudmc/internal/memctrl that mutates queue membership " +
-		"(readQ/writeQ, bankQueue reads/writes) or the write-drain mode to update the " +
+		"(readQ/writeQ) or the write-drain mode to update the " +
 		"candidate-group index in the same function",
 	Run: run,
 }
@@ -39,7 +38,6 @@ var Analyzer = &analysis.Analyzer{
 // requires index maintenance in the same function.
 var guarded = map[string]map[string]bool{
 	"Controller": {"readQ": true, "writeQ": true, "writeMode": true},
-	"bankQueue":  {"reads": true, "writes": true},
 }
 
 // syncCalls are the maintenance entry points that discharge the

@@ -10,18 +10,8 @@ type Request struct {
 	Addr uint64
 }
 
-// bankQueue mirrors the guarded per-bank buckets; groups is outside
-// the contract (it IS the index).
-type bankQueue struct {
-	reads  []*Request
-	writes []*Request
-	groups []int32
-	seq    uint64
-}
-
-// group mirrors the real group entry: its reads/writes lists share
-// field names with bankQueue but are NOT guarded — mutating them is
-// the index maintenance itself.
+// group mirrors the real group entry: its reads/writes lists are NOT
+// guarded — mutating them is the index maintenance itself.
 type group struct {
 	reads  []*Request
 	writes []*Request
@@ -33,7 +23,6 @@ type Controller struct {
 	writeQ    []*Request
 	writeMode bool
 
-	bankQ      []bankQueue
 	grp        []group
 	grpPending []*Request
 	view       int
@@ -51,22 +40,12 @@ func (c *Controller) buildOptions(now uint64, mixed bool) {
 // index in the same function.
 func (c *Controller) enqueueGood(r *Request) {
 	c.readQ = append(c.readQ, r)
-	bk := &c.bankQ[0]
-	bk.reads = append(bk.reads, r)
-	bk.seq++
 	c.groupNote(r)
 }
 
 // enqueueBad mutates queue membership without updating the index.
 func (c *Controller) enqueueBad(r *Request) {
 	c.readQ = append(c.readQ, r) // want `enqueueBad mutates Controller.readQ but never updates the candidate-group index`
-	bk := &c.bankQ[0]
-	bk.reads = append(bk.reads, r)
-}
-
-// bucketBad mutates a bank bucket without updating the index.
-func (c *Controller) bucketBad(r *Request) {
-	c.bankQ[0].writes = append(c.bankQ[0].writes, r) // want `bucketBad mutates bankQueue.writes but never updates the candidate-group index`
 }
 
 // removeGood edits the queues through pointers (address-taking), with
@@ -102,9 +81,8 @@ func (c *Controller) groupListsFree(r *Request) {
 	g.writes = g.writes[:0]
 }
 
-// seqFree mutates only unguarded bookkeeping.
-func (c *Controller) seqFree() {
-	c.bankQ[0].seq++
+// viewFree mutates only unguarded bookkeeping.
+func (c *Controller) viewFree() {
 	c.view = 0
 }
 

@@ -186,10 +186,10 @@ type Controller struct {
 	// freeReq recycles Request structs: a request retired in Tick
 	// step 1 goes back on the list and the next enqueue reuses it, so
 	// the steady-state busy path allocates nothing. Safe because the
-	// controller owns the full lifecycle — requests leave every queue,
-	// bucket and group at issue time, policies do not retain pointers
-	// past OnComplete (the Policy contract), and OnDone callbacks
-	// receive only the completion cycle.
+	// controller owns the full lifecycle — requests leave every queue
+	// and group at issue time, policies do not retain pointers past
+	// OnComplete (the Policy contract), and OnDone callbacks receive
+	// only the completion cycle.
 	//mclint:owns -- freeReq IS the free list; entering it is the recycle point itself
 	freeReq []*Request
 
@@ -198,14 +198,14 @@ type Controller struct {
 
 	// pendingClose marks banks whose open row the page policy has
 	// decided to precharge once timing allows; indexed rank*banks+bank.
-	// All writes go through setPendingClose so the per-bank horizon
-	// cache and the pendingCloseN count stay coherent.
+	// All writes go through setPendingClose so the pendingCloseN count
+	// stays coherent.
 	pendingClose []bool
 	// pendingCloseN counts set pendingClose flags. While it is
 	// non-zero an enqueue falls back to a full wake-up tick, which
 	// keeps the page policy's ShouldClose re-validation schedule (a
 	// stateful call for the predictive policies) bit-identical to the
-	// pre-bank-granular engine.
+	// per-cycle loop.
 	pendingCloseN int
 
 	// fastPath enables the event-horizon tick skip; off, Tick runs its
@@ -226,25 +226,20 @@ type Controller struct {
 	// wakeAt = now+1 is already <= now by the time anyone looks).
 	parkMode uint8
 
-	// bankQ buckets the queued requests per (rank, bank) so horizon
-	// recomputation after a change touches only the affected bank's
-	// requests instead of rescanning both queues; bankHzn caches each
-	// bank's earliest-issue horizon, revalidated against the dram
-	// constraint epochs. Both are indexed rank*banks+bank.
-	bankQ   []bankQueue
-	bankHzn []bankHorizon
-
 	// Candidate-group index (see groups.go): one live entry per
 	// (bankIdx, row), maintained incrementally by the enqueue and
 	// remove paths, consumed by buildOptions. grp is the group arena
-	// (handles are indices, grpFree recycles them); readOrder and
+	// (handles are indices, grpFree recycles them); bankGroups lists
+	// each bank's live handles (indexed rank*banks+bank; order is
+	// irrelevant, so removal swaps with the tail); readOrder and
 	// writeOrder keep the groups with queued reads/writes sorted by
 	// oldest-member ID; bankMinRead/bankMinWrite are the per-bank
 	// oldest-ID index (noID when the bank has none of that kind);
 	// grpPending spools enqueued requests until the next option build
 	// folds them in (the enqueue path stays O(1)).
-	grp     []group
-	grpFree []int32
+	grp        []group
+	grpFree    []int32
+	bankGroups [][]int32
 	//mclint:owns -- groupFold drains and nils every pending slot before any read of the index; a request cannot recycle while still queued, and it is queued for as long as it is pending
 	grpPending   []*Request
 	readOrder    []int32
@@ -293,56 +288,6 @@ const (
 	modeWrites
 	modeBoth
 )
-
-// Horizon class bits: the command classes a bank's queued requests
-// need under the current bank state. At most one EarliestIssue call
-// per set bit replaces one call per queued request — requests to the
-// same (rank, bank) needing the same command share one computation.
-const (
-	hznAct uint8 = 1 << iota
-	hznRead
-	hznWrite
-	hznPre
-)
-
-// bankQueue holds the queued requests targeting one (rank, bank),
-// maintained incrementally by the enqueue and remove paths. Bucket
-// order is irrelevant (only class membership is derived from it), so
-// removal swaps with the tail. seq bumps on every membership or
-// pendingClose change and invalidates the bank's cached horizon.
-type bankQueue struct {
-	//mclint:owns -- removeRequest deletes the request from its bank bucket at issue/forward time, before its recycle
-	reads []*Request
-	//mclint:owns -- removeRequest deletes the request from its bank bucket at issue/coalesce time, before its recycle
-	writes []*Request
-	seq    uint32
-	// groups holds the handles of this bank's live candidate groups
-	// (one per distinct queued row; see groups.go). Order is
-	// irrelevant — the global readOrder/writeOrder arrays carry the
-	// option ordering — so removal swaps with the tail.
-	groups []int32
-}
-
-// bankHorizon is one bank's cached earliest-issue horizon: the first
-// cycle any command advancing the bank's queued requests (or its
-// surviving pending close) can become legal, assuming no intervening
-// command. The stamps record the state it was computed from; the
-// entry is exact while they all still match (bank commands bump the
-// bank epoch, rank ACTIVATEs the rank epoch, column accesses the
-// channel data epoch, bucket changes the seq). The command-bus
-// constraint needs no stamp: it never exceeds the parked controller's
-// current cycle, so the fold's now+1 clamp absorbs it (see
-// dram.Channel.DataEpoch).
-type bankHorizon struct {
-	at        uint64
-	mask      uint8
-	mode      uint8
-	valid     bool
-	seq       uint32
-	bankEpoch uint32
-	rankEpoch uint32
-	dataEpoch uint32
-}
 
 // groupTable indexes queued requests by (bankIdx, row), keeping the
 // oldest request of each group. Slots are invalidated wholesale by
@@ -421,8 +366,7 @@ func New(cfg Config, ch *dram.Channel, policy Policy, page pagepolicy.Policy) (*
 		page:         page,
 		pagePure:     pagepolicy.IsPure(page),
 		pendingClose: make([]bool, banks),
-		bankQ:        make([]bankQueue, banks),
-		bankHzn:      make([]bankHorizon, banks),
+		bankGroups:   make([][]int32, banks),
 		bankMinRead:  make([]uint64, banks),
 		bankMinWrite: make([]uint64, banks),
 		// Pre-size the enqueue spill list for the worst case (every
@@ -504,9 +448,6 @@ func (c *Controller) EnqueueRead(now uint64, src Source, addr uint64, loc dram.L
 	}
 	c.nextID++
 	c.readQ = append(c.readQ, r)
-	bk := &c.bankQ[r.Loc.Rank*c.ch.Geo.Banks+r.Loc.Bank]
-	bk.reads = append(bk.reads, r)
-	bk.seq++
 	c.groupNote(r)
 	c.noteEnqueue(r, now)
 	c.policy.OnEnqueue(r, now)
@@ -537,9 +478,6 @@ func (c *Controller) EnqueueWrite(now uint64, src Source, addr uint64, loc dram.
 	c.nextID++
 	c.writeQ = append(c.writeQ, r)
 	c.writeByAddr[addr] = r //mclint:alloc-ok -- the map is pre-sized to WriteQueueCap at construction and never holds more than the queue cap, so steady-state writes never grow it
-	bk := &c.bankQ[r.Loc.Rank*c.ch.Geo.Banks+r.Loc.Bank]
-	bk.writes = append(bk.writes, r)
-	bk.seq++
 	c.groupNote(r)
 	c.noteEnqueue(r, now)
 	c.policy.OnEnqueue(r, now)
@@ -616,7 +554,7 @@ func (c *Controller) scheduleCompletion(r *Request, at uint64) {
 //     predictor state, so any pending close anywhere does;
 //   - an unchanged queue-selection mode: a drain-watermark crossing or
 //     an empty-read-queue transition changes which queues the next
-//     tick considers, invalidating every bank's horizon at once.
+//     tick considers, invalidating the whole established horizon.
 func (c *Controller) noteEnqueue(r *Request, now uint64) {
 	if !c.fastPath || c.wakeAt == 0 || c.wakeAt <= now {
 		c.wakeAt = 0
@@ -687,8 +625,8 @@ func (c *Controller) requestConsidered(r *Request) bool {
 	}
 }
 
-// setPendingClose writes one pendingClose flag, keeping the count and
-// the bank's horizon cache coherent.
+// setPendingClose writes one pendingClose flag, keeping the count
+// coherent.
 func (c *Controller) setPendingClose(idx int, v bool) {
 	if c.pendingClose[idx] == v {
 		return
@@ -699,7 +637,6 @@ func (c *Controller) setPendingClose(idx int, v bool) {
 	} else {
 		c.pendingCloseN--
 	}
-	c.bankQ[idx].seq++
 }
 
 // Tick advances the controller by one cycle: completes finished
@@ -723,9 +660,9 @@ func (c *Controller) Tick(now uint64) {
 	}
 
 	// 1. Retire completed transfers. The retired Request goes back on
-	// the free list — every reference to it (queues, buckets, groups,
-	// options) was dropped at issue time, and OnComplete is the last
-	// contact the policy contract allows.
+	// the free list — every reference to it (queues, groups, options)
+	// was dropped at issue time, and OnComplete is the last contact
+	// the policy contract allows.
 	for len(c.inflight) > c.inflightHd && c.inflight[c.inflightHd].at <= now {
 		done := c.inflight[c.inflightHd]
 		c.inflight[c.inflightHd] = completion{}
@@ -823,23 +760,56 @@ func (c *Controller) Tick(now uint64) {
 // frozen until the next enqueue, completion or wake-up, those
 // validations cannot change during the skipped window.
 //
-// The computation is a fold over per-bank horizons cached in bankHzn:
-// a bank whose bucket, bank state, rank activation window and (for
-// column classes) data-bus state are unchanged since the last fold
-// reuses its cached value, so re-parking after a localized change
-// costs O(changed banks) instead of O(queued requests).
+// The computation is a fold over the candidate groups' cached
+// earliest-issue cycles. The same tick's buildOptions validated the
+// cache of every group this mode considers (a stamp hit or a
+// recompute), offered no option and issued nothing, so each optAt is
+// exact and lies past now, out of reach of the unstamped command-bus
+// term. EarliestIssue reads Loc.Row only for column commands, where it
+// is the open row, so every request of a group that needs the same
+// command kind shares its representative's cycle. The one exception is
+// modeBoth: a group holding reads and writes to the open row offers
+// only its oldest member's column command, and the other kind's
+// command is folded in uncached so the horizon still wakes for it
+// (VerifyParkHorizon holds every considered request to that rule).
 func (c *Controller) idleHorizon(now uint64) uint64 {
 	mode := c.queueMode(considersWrites(c.policy))
 	c.parkMode = mode
 
 	h := dram.Never
-	for b := range c.bankQ {
-		bq := &c.bankQ[b]
-		if len(bq.reads) == 0 && len(bq.writes) == 0 && !c.pendingClose[b] {
-			continue
+	if mode != modeWrites {
+		for _, gh := range c.readOrder {
+			g := &c.grp[gh]
+			if g.optAt < h {
+				h = g.optAt
+			}
+			if mode == modeBoth && g.optKind >= dram.CmdRead && len(g.writes) > 0 {
+				other := g.writes[0]
+				if g.optKind == dram.CmdWrite {
+					other = g.reads[0]
+				}
+				if at := c.earliestFor(other); at < h {
+					h = at
+				}
+			}
 		}
-		if at := c.bankHorizon(b, mode); at < h {
-			h = at
+	}
+	if mode != modeReads {
+		for _, gh := range c.writeOrder {
+			if at := c.grp[gh].optAt; at < h {
+				h = at
+			}
+		}
+	}
+	if c.pendingCloseN > 0 {
+		for b, pending := range c.pendingClose {
+			if !pending {
+				continue
+			}
+			loc := dram.Location{Channel: c.ch.ID, Rank: b / c.ch.Geo.Banks, Bank: b % c.ch.Geo.Banks}
+			if at := c.ch.EarliestIssue(dram.Command{Kind: dram.CmdPrecharge, Loc: loc}); at < h {
+				h = at
+			}
 		}
 	}
 
@@ -854,112 +824,26 @@ func (c *Controller) idleHorizon(now uint64) uint64 {
 	return h
 }
 
-// bankHorizon returns the earliest cycle any command advancing bank
-// b's queued requests (under the given queue mode) or its surviving
-// pending close can become legal, from the cache when the stamps
-// still match and recomputed otherwise.
-func (c *Controller) bankHorizon(b int, mode uint8) uint64 {
-	rank := b / c.ch.Geo.Banks
-	bankNo := b % c.ch.Geo.Banks
-	bq := &c.bankQ[b]
-	bank := c.ch.Bank(rank, bankNo)
-	hz := &c.bankHzn[b]
-	if hz.valid && hz.mode == mode && hz.seq == bq.seq &&
-		hz.bankEpoch == bank.Epoch() &&
-		(hz.mask&hznAct == 0 || hz.rankEpoch == c.ch.Ranks[rank].ActEpoch()) &&
-		(hz.mask&(hznRead|hznWrite) == 0 || hz.dataEpoch == c.ch.DataEpoch()) {
-		return hz.at
-	}
-
-	// Recompute: classify the bucket into command classes relative to
-	// the current bank state (the per-(rank, bank, kind) dedupe — one
-	// EarliestIssue per class, not one per request), then take the
-	// earliest legal cycle over the classes present.
-	useReads := mode != modeWrites
-	useWrites := mode != modeReads
-	var mask uint8
-	if bank.State == dram.BankIdle {
-		if (useReads && len(bq.reads) > 0) || (useWrites && len(bq.writes) > 0) {
-			mask |= hznAct
-		}
-	} else {
-		if useReads {
-			for _, r := range bq.reads {
-				if r.Loc.Row == bank.OpenRow {
-					mask |= hznRead
-				} else {
-					mask |= hznPre
-				}
-			}
-		}
-		if useWrites {
-			for _, r := range bq.writes {
-				if r.Loc.Row == bank.OpenRow {
-					mask |= hznWrite
-				} else {
-					mask |= hznPre
-				}
-			}
-		}
-		if c.pendingClose[b] {
-			mask |= hznPre
-		}
-	}
-
-	loc := dram.Location{Channel: c.ch.ID, Rank: rank, Bank: bankNo, Row: bank.OpenRow}
-	at := dram.Never
-	if mask&hznAct != 0 {
-		if e := c.ch.EarliestIssue(dram.Command{Kind: dram.CmdActivate, Loc: loc}); e < at {
-			at = e
-		}
-	}
-	if mask&hznRead != 0 {
-		if e := c.ch.EarliestIssue(dram.Command{Kind: dram.CmdRead, Loc: loc}); e < at {
-			at = e
-		}
-	}
-	if mask&hznWrite != 0 {
-		if e := c.ch.EarliestIssue(dram.Command{Kind: dram.CmdWrite, Loc: loc}); e < at {
-			at = e
-		}
-	}
-	if mask&hznPre != 0 {
-		if e := c.ch.EarliestIssue(dram.Command{Kind: dram.CmdPrecharge, Loc: loc}); e < at {
-			at = e
-		}
-	}
-
-	*hz = bankHorizon{
-		at:        at,
-		mask:      mask,
-		mode:      mode,
-		valid:     true,
-		seq:       bq.seq,
-		bankEpoch: bank.Epoch(),
-		rankEpoch: c.ch.Ranks[rank].ActEpoch(),
-		dataEpoch: c.ch.DataEpoch(),
-	}
-	return at
+// commandFor returns the next command advancing r given the current
+// bank state.
+func (c *Controller) commandFor(r *Request) dram.Command {
+	return dram.Command{Kind: nextKind(c.ch.Bank(r.Loc.Rank, r.Loc.Bank), r), Loc: r.Loc}
 }
 
-// commandFor returns the next command advancing r — the same command
-// buildOptions would generate for r's group given the current bank
-// state.
-func (c *Controller) commandFor(r *Request) dram.Command {
-	bank := c.ch.Bank(r.Loc.Rank, r.Loc.Bank)
-	var kind dram.CommandKind
+// nextKind is the one rule for a request's next command, shared by the
+// option builder (groupOptionMiss, which passes its group's cached bank
+// pointer), the enqueue re-arm and VerifyParkHorizon (via commandFor).
+func nextKind(bank *dram.Bank, r *Request) dram.CommandKind {
 	switch {
 	case bank.State == dram.BankIdle:
-		kind = dram.CmdActivate
-	case bank.OpenRow == r.Loc.Row:
-		kind = dram.CmdRead
-		if r.Kind.IsWrite() {
-			kind = dram.CmdWrite
-		}
+		return dram.CmdActivate
+	case bank.OpenRow != r.Loc.Row:
+		return dram.CmdPrecharge
+	case r.Kind.IsWrite():
+		return dram.CmdWrite
 	default:
-		kind = dram.CmdPrecharge
+		return dram.CmdRead
 	}
-	return dram.Command{Kind: kind, Loc: r.Loc}
 }
 
 // earliestFor returns the earliest cycle the next command advancing r
@@ -1135,8 +1019,8 @@ func (c *Controller) buildOptionsRef(now uint64, mixed bool) ([]Option, int) {
 		// code never rebuilds, so an ordinary controller should not
 		// pay for the twin's table.
 		c.groups = newGroupTable(c.cfg.ReadQueueCap + c.cfg.WriteQueueCap)
-		c.bankOldest = make([]uint64, len(c.bankQ))
-		c.bankEpoch = make([]uint32, len(c.bankQ))
+		c.bankOldest = make([]uint64, len(c.bankGroups))
+		c.bankEpoch = make([]uint32, len(c.bankGroups))
 	}
 	c.refBuf = c.refBuf[:0]
 	if c.groups.reset() {
@@ -1316,8 +1200,7 @@ func (c *Controller) pendingForRow(loc dram.Location) (same, other int) {
 	// The bank's candidate groups partition its queued requests by
 	// row, so counting group sizes replaces the full-queue scan.
 	countWrites := c.effectiveWriteMode() || considersWrites(c.policy)
-	bq := &c.bankQ[loc.Rank*c.ch.Geo.Banks+loc.Bank]
-	for _, gh := range bq.groups {
+	for _, gh := range c.bankGroups[loc.Rank*c.ch.Geo.Banks+loc.Bank] {
 		g := &c.grp[gh]
 		n := len(g.reads)
 		if countWrites {
@@ -1377,29 +1260,13 @@ func (c *Controller) tryPendingClose(now uint64) (dram.Command, bool) {
 	return dram.Command{Kind: dram.CmdNop}, false
 }
 
-// removeRequest deletes r from whichever queue holds it, from its
-// bank bucket, and from its candidate group.
+// removeRequest deletes r from whichever queue holds it and from its
+// candidate group.
 func (c *Controller) removeRequest(r *Request) {
-	bk := &c.bankQ[r.Loc.Rank*c.ch.Geo.Banks+r.Loc.Bank]
-	q, bq := &c.readQ, &bk.reads
+	q := &c.readQ
 	if r.Kind.IsWrite() {
-		q, bq = &c.writeQ, &bk.writes
+		q = &c.writeQ
 		delete(c.writeByAddr, r.Addr)
-	}
-	bk.seq++
-	inBucket := false
-	for i, x := range *bq {
-		if x == r {
-			last := len(*bq) - 1
-			(*bq)[i] = (*bq)[last]
-			(*bq)[last] = nil
-			*bq = (*bq)[:last]
-			inBucket = true
-			break
-		}
-	}
-	if !inBucket {
-		panic("memctrl: removing request not in its bank bucket")
 	}
 	c.groupRemove(r)
 	// Queues are ID-ascending (IDs assigned at enqueue, removals

@@ -137,9 +137,8 @@ func (c *Controller) groupFold() {
 // kind) has the largest min-ID key and belongs at the tail.
 func (c *Controller) groupEnqueue(r *Request) {
 	bk := int32(r.Loc.Rank*c.ch.Geo.Banks + r.Loc.Bank)
-	bq := &c.bankQ[bk]
 	h := int32(-1)
-	for _, gh := range bq.groups {
+	for _, gh := range c.bankGroups[bk] {
 		if c.grp[gh].row == r.Loc.Row {
 			h = gh
 			break
@@ -147,7 +146,7 @@ func (c *Controller) groupEnqueue(r *Request) {
 	}
 	if h < 0 {
 		h = c.allocGroup(r, bk)
-		bq.groups = append(bq.groups, h)
+		c.bankGroups[bk] = append(c.bankGroups[bk], h)
 	}
 	g := &c.grp[h]
 	if r.Kind.IsWrite() {
@@ -179,9 +178,9 @@ func (c *Controller) groupEnqueue(r *Request) {
 // pop; any position is handled for robustness.
 func (c *Controller) groupRemove(r *Request) {
 	bk := int32(r.Loc.Rank*c.ch.Geo.Banks + r.Loc.Bank)
-	bq := &c.bankQ[bk]
+	bg := c.bankGroups[bk]
 	h, gi := int32(-1), -1
-	for i, gh := range bq.groups {
+	for i, gh := range bg {
 		if c.grp[gh].row == r.Loc.Row {
 			h, gi = gh, i
 			break
@@ -217,9 +216,9 @@ func (c *Controller) groupRemove(r *Request) {
 		}
 	}
 	if len(g.reads) == 0 && len(g.writes) == 0 {
-		last := len(bq.groups) - 1
-		bq.groups[gi] = bq.groups[last]
-		bq.groups = bq.groups[:last]
+		last := len(bg) - 1
+		bg[gi] = bg[last]
+		c.bankGroups[bk] = bg[:last]
 		c.grpFree = append(c.grpFree, h)
 	}
 }
@@ -301,9 +300,8 @@ func (c *Controller) orderInsert(order *[]int32, h int32, key uint64, writes boo
 // groups — O(groups in the bank), called only when the removed
 // request was the bank's oldest of its kind.
 func (c *Controller) rescanBankMin(bk int32) {
-	bq := &c.bankQ[bk]
 	minR, minW := uint64(noID), uint64(noID)
-	for _, gh := range bq.groups {
+	for _, gh := range c.bankGroups[bk] {
 		g := &c.grp[gh]
 		if len(g.reads) > 0 && g.reads[0].ID < minR {
 			minR = g.reads[0].ID
@@ -348,25 +346,12 @@ func (c *Controller) groupOption(now uint64, g *group, rep *Request, oldest uint
 // candidate command through dram and restamp the cache. Split out so
 // the hit path above stays small enough to stay cheap per group.
 func (c *Controller) groupOptionMiss(now uint64, g *group, rep *Request, oldest uint64) int {
-	bank := g.bankRef
-	var kind dram.CommandKind
-	rowHit := false
-	switch {
-	case bank.State == dram.BankIdle:
-		kind = dram.CmdActivate
-	case bank.OpenRow == g.row:
-		kind = dram.CmdRead
-		if rep.Kind.IsWrite() {
-			kind = dram.CmdWrite
-		}
-		rowHit = true
-	default:
-		kind = dram.CmdPrecharge
-	}
+	kind := nextKind(g.bankRef, rep)
+	rowHit := kind >= dram.CmdRead
 	at := c.ch.EarliestIssue(dram.Command{Kind: kind, Loc: rep.Loc})
 	g.cacheOK = true
 	g.optKind, g.optAt, g.repID = kind, at, rep.ID
-	g.bankEpoch = bank.Epoch()
+	g.bankEpoch = g.bankRef.Epoch()
 	g.rankEpoch = g.rankRef.ActEpoch()
 	g.dataEpoch = c.ch.DataEpoch()
 	if now >= at {

@@ -10,13 +10,14 @@ import (
 	"cloudmc/internal/stats"
 )
 
-// This file is the correctness suite of the per-bank horizon cache:
+// This file is the correctness suite of the park horizon, a fold over
+// the candidate groups' cached earliest-issue cycles:
 //
-//   - refIdleHorizon is a straight port of the pre-cache idleHorizon
+//   - refIdleHorizon is a straight port of the uncached idleHorizon
 //     (one EarliestIssue per queued request plus a full bank scan for
 //     pending closes); the harness asserts the cached fold computes
-//     the identical horizon at every park, so the per-(rank, bank,
-//     kind) dedupe provably changed nothing.
+//     the identical horizon at every park, so folding one cycle per
+//     group provably changed nothing.
 //   - VerifyParkHorizon brute-forces every parked window cycle by
 //     cycle against CanIssue, proving horizons exact: never late,
 //     never early.
@@ -85,6 +86,14 @@ func (p *timedPolicy) Tick(now uint64) {
 }
 
 func (p *timedPolicy) NextPolicyEvent(uint64) uint64 { return p.next }
+
+// mixedPolicy is frPolicy opted into mixed read/write views (the RL
+// scheduler's mode), so the harness parks in modeBoth, where a group
+// holding reads and writes to the open row offers one column command
+// but the horizon must wake for both.
+type mixedPolicy struct{ frPolicy }
+
+func (mixedPolicy) ConsidersWrites() bool { return true }
 
 // declinePolicy issues only every fourth pick, leaving declined
 // options on the table — the controller must stay hot for those.
@@ -221,14 +230,15 @@ func horizonHarness(t *testing.T, seed int64, cycles uint64,
 
 // TestHorizonExactnessRandomized sweeps the harness across policies
 // (plain FR-FCFS, a timed EventHorizon policy, an option-declining
-// policy) and every page policy, including the stateful predictive
-// ones whose ShouldClose schedule the enqueue fast path must not
-// perturb.
+// policy, a write-aware mixed-mode policy) and every page policy,
+// including the stateful predictive ones whose ShouldClose schedule
+// the enqueue fast path must not perturb.
 func TestHorizonExactnessRandomized(t *testing.T) {
 	policies := map[string]func() Policy{
 		"frfcfs":  func() Policy { return frPolicy{} },
 		"timed":   func() Policy { return &timedPolicy{quantum: 700} },
 		"decline": func() Policy { return &declinePolicy{} },
+		"mixed":   func() Policy { return mixedPolicy{} },
 	}
 	pages := map[string]func() pagepolicy.Policy{
 		"open":          func() pagepolicy.Policy { return pagepolicy.NewOpen() },

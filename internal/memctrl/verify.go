@@ -9,10 +9,10 @@ import (
 // This file is diagnostic/test support for the event-horizon machinery:
 // a brute-force, cycle-by-cycle re-derivation of "when could this
 // parked controller act" from the raw legality rules, independent of
-// the per-bank horizon cache and of dram.Channel.EarliestIssue. The
-// exactness property suites (memctrl horizon tests and the core
-// kernel differential tests) call it whenever a controller parks or
-// re-arms; production code never does.
+// the candidate groups' cached earliest-issue cycles and of
+// dram.Channel.EarliestIssue. The exactness property suites (memctrl
+// horizon tests and the core kernel differential tests) call it
+// whenever a controller parks or re-arms; production code never does.
 
 // ParkHorizon returns the controller's established event horizon: the
 // earliest future cycle at which its state can change, or 0 when the
@@ -131,8 +131,8 @@ func (c *Controller) VerifyCandidateGroups(now uint64) error {
 	// partition the arena.
 	live := make(map[int32]int32, len(c.grp)) // handle -> bankIdx
 	rows := make(map[int64]bool)              // bankIdx<<32|row dedup
-	for bk := range c.bankQ {
-		for _, h := range c.bankQ[bk].groups {
+	for bk, handles := range c.bankGroups {
+		for _, h := range handles {
 			if h < 0 || int(h) >= len(c.grp) {
 				return fmt.Errorf("memctrl: groups: bank %d lists out-of-range handle %d", bk, h)
 			}
@@ -193,7 +193,7 @@ func (c *Controller) VerifyCandidateGroups(now uint64) error {
 	}
 	find := func(r *Request) error {
 		bk := int32(r.Loc.Rank*c.ch.Geo.Banks + r.Loc.Bank)
-		for _, h := range c.bankQ[bk].groups {
+		for _, h := range c.bankGroups[bk] {
 			g := &c.grp[h]
 			if g.row != r.Loc.Row {
 				continue
@@ -266,9 +266,9 @@ func (c *Controller) VerifyCandidateGroups(now uint64) error {
 	}
 
 	// Per-bank oldest-ID index.
-	for bk := range c.bankQ {
+	for bk, handles := range c.bankGroups {
 		minR, minW := uint64(noID), uint64(noID)
-		for _, h := range c.bankQ[bk].groups {
+		for _, h := range handles {
 			g := &c.grp[h]
 			if len(g.reads) > 0 && g.reads[0].ID < minR {
 				minR = g.reads[0].ID

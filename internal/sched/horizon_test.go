@@ -36,7 +36,7 @@ func TestATLASNextPolicyEvent(t *testing.T) {
 }
 
 // TestOnEnqueueLeavesPolicyEventUnchanged pins the invariant the
-// controller's bank-granular park re-arm depends on: an enqueue into
+// controller's O(1) park re-arm depends on: an enqueue into
 // a parked controller folds only the new request's own command into
 // the established horizon, re-reading NextPolicyEvent no earlier than
 // the next full tick. OnEnqueue must therefore never move the policy
