@@ -466,8 +466,10 @@ func BenchmarkControllerParkReArm(b *testing.B) {
 // every pick scans the queue under ranks that change as service
 // accrues. Requests spread over every bank with a few rows per bank,
 // so the option set holds a realistic mix of activates, row hits and
-// conflicts. allocs/op is reported: the steady-state busy path,
-// scheduler included, is expected to run allocation-free.
+// conflicts. drain-q224 is q224's write-drain twin: a standing write
+// queue of 224 filled to WriteHi and held above WriteLo, so every tick
+// builds in write mode. allocs/op is reported: the steady-state busy
+// path, scheduler included, is expected to run allocation-free.
 func BenchmarkBuildOptions(b *testing.B) {
 	geo := dram.Geometry{Channels: 1, Ranks: 4, Banks: 8, Rows: 1 << 14, Columns: 64, BlockBytes: 64}
 	atlas := sched.DefaultATLASConfig()
@@ -480,11 +482,13 @@ func BenchmarkBuildOptions(b *testing.B) {
 		kind   sched.Kind
 		opts   sched.Opts
 		spread bool // sources vary over cores and tenants
+		writes bool // the standing queue holds writes, not reads
 	}{
-		{"q48", 48, sched.FRFCFS, sched.Opts{Cores: 16}, false},
-		{"q224", 224, sched.FRFCFS, sched.Opts{Cores: 16}, false},
-		{"atlas-q48", 48, sched.ATLAS, sched.Opts{Cores: 16, ATLAS: atlas}, true},
-		{"qos-q48", 48, sched.QoS, sched.Opts{Cores: 16, Tenants: 4, QoS: qos}, true},
+		{"q48", 48, sched.FRFCFS, sched.Opts{Cores: 16}, false, false},
+		{"q224", 224, sched.FRFCFS, sched.Opts{Cores: 16}, false, false},
+		{"atlas-q48", 48, sched.ATLAS, sched.Opts{Cores: 16, ATLAS: atlas}, true, false},
+		{"qos-q48", 48, sched.QoS, sched.Opts{Cores: 16, Tenants: 4, QoS: qos}, true, false},
+		{"drain-q224", 224, sched.FRFCFS, sched.Opts{Cores: 16}, false, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			depth := bc.depth
@@ -514,16 +518,28 @@ func BenchmarkBuildOptions(b *testing.B) {
 					Row:     (seq / banks) % 4,
 					Column:  seq % geo.Columns,
 				}
-				ok := ctl.EnqueueRead(now, src, uint64(seq)<<6, loc, memctrl.ReadDemand, nil)
+				var ok bool
+				if bc.writes {
+					ok = ctl.EnqueueWrite(now, src, uint64(seq)<<6, loc, nil)
+				} else {
+					ok = ctl.EnqueueRead(now, src, uint64(seq)<<6, loc, memctrl.ReadDemand, nil)
+				}
 				if ok {
 					seq++
 				}
 				return ok
 			}
+			queued := func() int {
+				r, w := ctl.QueueLens()
+				if bc.writes {
+					return w
+				}
+				return r
+			}
 			now := uint64(0)
-			for r, _ := ctl.QueueLens(); r < depth; r, _ = ctl.QueueLens() {
+			for queued() < depth {
 				if !enq(now) {
-					b.Fatal("could not pre-fill the read queue")
+					b.Fatal("could not pre-fill the queue")
 				}
 			}
 			b.ReportAllocs()
@@ -531,7 +547,7 @@ func BenchmarkBuildOptions(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctl.Tick(now)
 				now++
-				for r, _ := ctl.QueueLens(); r < depth; r, _ = ctl.QueueLens() {
+				for queued() < depth {
 					if !enq(now) {
 						break
 					}

@@ -236,8 +236,15 @@ type Controller struct {
 	// oldest-member ID; bankMinRead/bankMinWrite are the per-bank
 	// oldest-ID index (noID when the bank has none of that kind);
 	// grpPending spools enqueued requests until the next option build
-	// folds them in (the enqueue path stays O(1)).
+	// folds them in (the enqueue path stays O(1)). grpBound is the
+	// dense, handle-indexed lower bound on each group's earliest-issue
+	// cycle (cycle<<1 | row-hit flag, 0 = unknown) that lets the
+	// single-kind builds and the park fold skip groups that cannot
+	// issue yet; boundMode is the queue-selection mode the bounds were
+	// last computed under (see groups.go).
 	grp        []group
+	grpBound   []uint64
+	boundMode  uint8
 	grpFree    []int32
 	bankGroups [][]int32
 	//mclint:owns -- groupFold drains and nils every pending slot before any read of the index; a request cannot recycle while still queued, and it is queued for as long as it is pending
@@ -760,30 +767,39 @@ func (c *Controller) Tick(now uint64) {
 // frozen until the next enqueue, completion or wake-up, those
 // validations cannot change during the skipped window.
 //
-// The computation is a fold over the candidate groups' cached
-// earliest-issue cycles. The same tick's buildOptions validated the
-// cache of every group this mode considers (a stamp hit or a
-// recompute), offered no option and issued nothing, so each optAt is
-// exact and lies past now, out of reach of the unstamped command-bus
-// term. EarliestIssue reads Loc.Row only for column commands, where it
-// is the open row, so every request of a group that needs the same
-// command kind shares its representative's cycle. The one exception is
-// modeBoth: a group holding reads and writes to the open row offers
-// only its oldest member's column command, and the other kind's
-// command is folded in uncached so the horizon still wakes for it
+// The computation is a fold over the candidate groups' earliest-issue
+// cycles. The same tick's buildOptions offered no option and issued
+// nothing, so no constraint has moved since it ran, and every cycle
+// the fold takes lies past now, out of reach of the unstamped
+// command-bus term. EarliestIssue reads Loc.Row only for column
+// commands, where it is the open row, so every request of a group that
+// needs the same command kind shares its representative's cycle.
+//
+// In the single-kind modes the build skipped groups on their
+// earliest-issue bound, so their caches may be stale. The fold
+// therefore considers a group only while its bound is below the
+// running minimum, and first makes that group's cycle exact (a stamp
+// test, refreshGroup on a miss). A group it passes over has a true
+// cycle at or above its bound, which is at or above the minimum, so
+// the result equals the fold over every group's exact cycle.
+//
+// modeBoth walks every group, all of which its build validated. A group
+// there holding reads and writes to the open row offers only its
+// oldest member's column command, and the other kind's command is
+// folded in uncached so the horizon still wakes for it
 // (VerifyParkHorizon holds every considered request to that rule).
 func (c *Controller) idleHorizon(now uint64) uint64 {
 	mode := c.queueMode(considersWrites(c.policy))
 	c.parkMode = mode
 
 	h := dram.Never
-	if mode != modeWrites {
+	if mode == modeBoth {
 		for _, gh := range c.readOrder {
 			g := &c.grp[gh]
 			if g.optAt < h {
 				h = g.optAt
 			}
-			if mode == modeBoth && g.optKind >= dram.CmdRead && len(g.writes) > 0 {
+			if g.optKind >= dram.CmdRead && len(g.writes) > 0 {
 				other := g.writes[0]
 				if g.optKind == dram.CmdWrite {
 					other = g.reads[0]
@@ -793,11 +809,29 @@ func (c *Controller) idleHorizon(now uint64) uint64 {
 				}
 			}
 		}
-	}
-	if mode != modeReads {
 		for _, gh := range c.writeOrder {
 			if at := c.grp[gh].optAt; at < h {
 				h = at
+			}
+		}
+	} else {
+		writes := mode == modeWrites
+		order := c.readOrder
+		if writes {
+			order = c.writeOrder
+		}
+		dataE := c.ch.DataEpoch()
+		for _, gh := range order {
+			if c.grpBound[gh]>>1 >= h {
+				continue
+			}
+			g := &c.grp[gh]
+			if rep := g.repFor(writes); !g.cacheHit(rep.ID, dataE) {
+				c.refreshGroup(g, rep)
+			}
+			c.grpBound[gh] = g.bound()
+			if g.optAt < h {
+				h = g.optAt
 			}
 		}
 	}
@@ -831,7 +865,7 @@ func (c *Controller) commandFor(r *Request) dram.Command {
 }
 
 // nextKind is the one rule for a request's next command, shared by the
-// option builder (groupOptionMiss, which passes its group's cached bank
+// group cache (refreshGroup, which passes its group's cached bank
 // pointer), the enqueue re-arm and VerifyParkHorizon (via commandFor).
 func nextKind(bank *dram.Bank, r *Request) dram.CommandKind {
 	switch {
@@ -925,22 +959,31 @@ func (c *Controller) consideredQueues(mixed bool) (primary, secondary []*Request
 // c.view from the incremental candidate-group index (groups.go):
 // at most one command per live (rank, bank, row) group, emitted in
 // the same first-appearance order as the reference rebuild. The cost
-// is O(live groups) per tick with a cheap epoch-stamped cache hit per
+// is O(live groups) per tick with an epoch-stamped cache hit per
 // group; dram legality is recomputed only for groups whose
 // representative changed or whose bank's constraint epochs moved.
+//
+// In the single-kind modes (reads, or a write drain) a group whose
+// earliest-issue bound lies past now is skipped on that one word: its
+// command cannot be legal yet, so it adds no option, and its stored
+// row-hit flag still counts toward PendingRowHits. Every other group
+// takes the stamp test and stores its exact cycle as its new bound,
+// also on a cache hit. A mode change zeroes every bound first, since
+// it flips the column kind the bounds were computed for. modeBoth
+// walks every group without bounds: a group's representative there can
+// change kind from one tick to the next.
 func (c *Controller) buildOptions(now uint64, mixed bool) {
 	c.groupFold()
 	c.optBuf = c.optBuf[:0]
 	grp := c.grp
 	dataE := c.ch.DataEpoch()
+	mode := c.queueMode(mixed)
+	if mode != c.boundMode {
+		clear(c.grpBound)
+		c.boundMode = mode
+	}
 	var pendingHits int
-	switch c.queueMode(mixed) {
-	case modeWrites:
-		for _, h := range c.writeOrder {
-			g := &grp[h]
-			pendingHits += c.groupOption(now, g, g.writes[0], c.bankMinWrite[g.bank], dataE)
-		}
-	case modeBoth:
+	if mode == modeBoth {
 		// Reference order: groups with queued reads first (ascending
 		// oldest-read ID — their first appearance scanning the read
 		// queue), then write-only groups (ascending oldest-write ID).
@@ -967,30 +1010,37 @@ func (c *Controller) buildOptions(now uint64, mixed bool) {
 			}
 			pendingHits += c.groupOption(now, g, g.writes[0], oldest, dataE)
 		}
-	default:
-		// Read-only mode is the bulk of busy-path ticks; the cache-hit
-		// test of groupOption is open-coded here because the per-group
-		// call otherwise dominates the deep-queue profile (the function
-		// is too large to inline).
-		bankMin := c.bankMinRead
-		for _, h := range c.readOrder {
-			g := &grp[h]
-			rep := g.reads[0]
-			if g.cacheOK && g.repID == rep.ID && g.bankEpoch == g.bankRef.Epoch() &&
-				(g.optKind != dram.CmdActivate || g.rankEpoch == g.rankRef.ActEpoch()) &&
-				(g.optKind < dram.CmdRead || g.dataEpoch == dataE) {
-				if g.optKind >= dram.CmdRead {
-					pendingHits++
-				}
-				if now >= g.optAt {
-					c.optBuf = append(c.optBuf, Option{
-						Cmd: dram.Command{Kind: g.optKind, Loc: rep.Loc}, Req: rep,
-						RowHit: g.optKind >= dram.CmdRead, BankOldestID: bankMin[g.bank],
-					})
-				}
+	} else {
+		writes := mode == modeWrites
+		order, bankMin := c.readOrder, c.bankMinRead
+		if writes {
+			order, bankMin = c.writeOrder, c.bankMinWrite
+		}
+		bnd := c.grpBound
+		// bound > lim  <=>  bound>>1 > now, whatever the flag bit.
+		lim := now<<1 | 1
+		for _, h := range order {
+			if b := bnd[h]; b > lim {
+				pendingHits += int(b & 1)
 				continue
 			}
-			pendingHits += c.groupOptionMiss(now, g, rep, bankMin[g.bank])
+			// groupOption, open-coded: in a saturated queue most groups
+			// pass the bound test, and the per-group call would then
+			// dominate the build (the function is too large to inline).
+			g := &grp[h]
+			rep := g.repFor(writes)
+			if !g.cacheHit(rep.ID, dataE) {
+				c.refreshGroup(g, rep)
+			}
+			b := g.bound()
+			pendingHits += int(b & 1)
+			if now >= g.optAt {
+				c.optBuf = append(c.optBuf, Option{
+					Cmd: dram.Command{Kind: g.optKind, Loc: rep.Loc}, Req: rep,
+					RowHit: b&1 == 1, BankOldestID: bankMin[g.bank],
+				})
+			}
+			bnd[h] = b
 		}
 	}
 
@@ -1099,7 +1149,7 @@ func (c *Controller) issue(now uint64, opt Option) {
 	bankIdx := loc.Rank*c.ch.Geo.Banks + loc.Bank
 	switch opt.Cmd.Kind {
 	case dram.CmdActivate:
-		c.ch.Issue(now, opt.Cmd)
+		c.issueCmd(now, opt.Cmd)
 		if c.trace != nil {
 			c.trace.Command(now, opt.Cmd, opt.Req.Tenant)
 		}
@@ -1110,7 +1160,7 @@ func (c *Controller) issue(now uint64, opt Option) {
 		bank := c.ch.Bank(loc.Rank, loc.Bank)
 		closed := dram.Location{Channel: loc.Channel, Rank: loc.Rank, Bank: loc.Bank, Row: bank.OpenRow}
 		accesses := bank.RowAccesses()
-		c.ch.Issue(now, opt.Cmd)
+		c.issueCmd(now, opt.Cmd)
 		if c.trace != nil {
 			// Trace the row being closed, not the requester's target row.
 			c.trace.Command(now, dram.Command{Kind: dram.CmdPrecharge, Loc: closed}, opt.Req.Tenant)
@@ -1120,7 +1170,7 @@ func (c *Controller) issue(now uint64, opt Option) {
 		c.Stats.ConflictCloses++
 		c.page.OnRowClosed(closed, accesses, true)
 	case dram.CmdRead, dram.CmdWrite:
-		finish := c.ch.Issue(now, opt.Cmd)
+		finish := c.issueCmd(now, opt.Cmd)
 		if c.trace != nil {
 			c.trace.Command(now, opt.Cmd, opt.Req.Tenant)
 		}
@@ -1139,6 +1189,19 @@ func (c *Controller) issue(now uint64, opt Option) {
 	default:
 		panic(fmt.Sprintf("memctrl: cannot issue %v", opt.Cmd))
 	}
+}
+
+// issueCmd sends cmd to the channel and returns what
+// dram.Channel.Issue returns. It is the controller's one path to Issue:
+// a command to a bank is one of the three events that can make a
+// candidate group's next command earlier (see groups.go), so it first
+// zeroes the earliest-issue bound of every group in the command's
+// bank, before a column access's removeRequest can free one.
+func (c *Controller) issueCmd(now uint64, cmd dram.Command) uint64 {
+	for _, h := range c.bankGroups[cmd.Loc.Rank*c.ch.Geo.Banks+cmd.Loc.Bank] {
+		c.grpBound[h] = 0
+	}
+	return c.ch.Issue(now, cmd)
 }
 
 // classify files the row-buffer outcome of a column access.
@@ -1247,7 +1310,7 @@ func (c *Controller) tryPendingClose(now uint64) (dram.Command, bool) {
 				continue // keep pending; retry next idle cycle
 			}
 			accesses := b.RowAccesses()
-			c.ch.Issue(now, cmd)
+			c.issueCmd(now, cmd)
 			if c.trace != nil {
 				c.trace.Command(now, cmd, -1)
 			}

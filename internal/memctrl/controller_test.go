@@ -319,3 +319,46 @@ func TestViewOldestOption(t *testing.T) {
 		t.Fatal("empty view should return -1")
 	}
 }
+
+// TestEarliestIssueBound pins the candidate groups' earliest-issue
+// bound on one group waiting out its tRCD shadow: the read-mode build
+// skips it without touching its group, still counts it as a pending
+// row hit, and VerifyCandidateGroups reports a bound past the group's
+// EarliestIssue or a row-hit flag that disagrees with its next
+// command.
+func TestEarliestIssueBound(t *testing.T) {
+	ctl := testController(t, frPolicy{}, pagepolicy.NewOpen())
+	l := rloc(0, 0, 3, 0)
+	ctl.EnqueueRead(0, Source{Core: 1}, addrFor(l), l, ReadDemand, nil)
+	ctl.Tick(0) // ACT
+	ctl.Tick(1) // the READ waits for tRCD
+	h := ctl.readOrder[0]
+	rd := ctl.ch.EarliestIssue(dram.Command{Kind: dram.CmdRead, Loc: l})
+	if rd <= 2 {
+		t.Fatalf("READ legal at %d; the test needs a tRCD shadow", rd)
+	}
+	if want := rd<<1 | 1; ctl.grpBound[h] != want {
+		t.Fatalf("bound %#x after the build, want %#x (READ at %d, row hit)", ctl.grpBound[h], want, rd)
+	}
+
+	// A skipped group is not revalidated: its dropped cache stays
+	// dropped, and its row-hit flag still counts.
+	ctl.grp[h].cacheOK = false
+	ctl.buildOptions(2, false)
+	if ctl.grp[h].cacheOK {
+		t.Fatal("the build revalidated a group whose bound lies past now")
+	}
+	if len(ctl.view.Options) != 0 || ctl.view.PendingRowHits != 1 {
+		t.Fatalf("build at 2: %d options, %d pending row hits; want 0 and 1", len(ctl.view.Options), ctl.view.PendingRowHits)
+	}
+	if err := ctl.VerifyCandidateGroups(2); err != nil {
+		t.Fatalf("valid bound reported: %v", err)
+	}
+
+	for _, bad := range []uint64{(rd+1)<<1 | 1, rd << 1} {
+		ctl.grpBound[h] = bad
+		if err := ctl.VerifyCandidateGroups(2); err == nil {
+			t.Fatalf("bound %#x (READ at %d) not reported", bad, rd)
+		}
+	}
+}

@@ -31,6 +31,36 @@ import "cloudmc/internal/dram"
 // when it was the group's oldest of its kind the group's sort key
 // grows, so it is deleted at its old key and re-inserted at the new
 // one (two binary searches plus memmoves over int32 handles).
+//
+// Earliest-issue bounds. In front of the per-group cache sits
+// grpBound, one word per handle: a lower bound on the cycle the
+// group's next command becomes legal, shifted left one bit, with a
+// row-hit flag (the command is a column access) in the low bit. The
+// read- and write-mode builds skip a group whose bound lies past now
+// without loading the group, its representative or its bank, and count
+// its flag toward PendingRowHits; every other group takes the stamp
+// test and stores its exact cycle back as its new bound. The bound is a
+// filter, not a second source of truth: it never makes an option legal,
+// it only skips a group the cache would reject.
+//
+// A stale bound stays a lower bound. A command to another bank can
+// only raise the thresholds it touches (the rank's tRRD/tFAW window,
+// the data bus, tWTR, the read-to-write turnaround, the command bus),
+// and a group's command kind depends only on its own bank's state. So
+// only three events can make a group's next command earlier, and each
+// zeroes its bound:
+//   - a command to the group's bank: issueCmd, the controller's one
+//     path to dram.Channel.Issue, zeroes the bank's groups before the
+//     issue can free any of them;
+//   - a change of the build's queue mode, which flips the column kind
+//     between READ and WRITE: buildOptions zeroes every bound;
+//   - a new group: allocGroup zeroes the recycled or fresh handle.
+//
+// The park fold (idleHorizon) skips on the same bounds and stays exact
+// by refreshing the cache of every group it does consider. modeBoth
+// (the mixed mode of write-aware policies) keeps no bounds and walks
+// every group, because a group's representative there can change kind
+// between ticks.
 
 // noID is the "no request" sentinel for the per-bank oldest-ID index;
 // it compares greater than every real ID.
@@ -38,7 +68,9 @@ const noID = ^uint64(0)
 
 // group is one live candidate group: the queued requests targeting a
 // single (bankIdx, row), split by kind and held oldest-first, plus
-// the group's cached candidate command (see groupOption).
+// the group's cached candidate command (see cacheHit and
+// refreshGroup). Its earliest-issue bound lives outside the struct, in
+// the dense Controller.grpBound, so the skip test touches one word.
 type group struct {
 	row    int
 	bank   int32 // bankIdx = rank*banks + bank
@@ -59,15 +91,18 @@ type group struct {
 	//mclint:owns -- groupRemove pops the request from its group at issue/coalesce time, before its recycle; popGroupReq nils the vacated slot
 	writes []*Request
 
-	// Cached candidate command: the option this group generated last
-	// time it was examined. Valid while the representative request and
-	// the dram constraint epochs the command's legality depends on are
-	// unchanged (bank epoch always; rank ACT epoch for ACTIVATE, the
-	// tRRD/tFAW window; channel data epoch for column accesses). The
-	// command bus needs no stamp: at option-build time the controller
-	// has not issued this cycle, so the bus term of EarliestIssue never
-	// exceeds the current cycle and the now >= optAt test is exact (the
-	// same argument that lets dram.Channel omit a command-bus epoch).
+	// Cached candidate command: the command kind and earliest-issue
+	// cycle this group computed last time its cache was refreshed. Valid
+	// while the representative request and the dram constraint epochs
+	// the command's legality depends on are unchanged (bank epoch
+	// always; rank ACT epoch for ACTIVATE, the tRRD/tFAW window; channel
+	// data epoch for column accesses). The command bus needs no stamp:
+	// at option-build time the controller has not issued this cycle, so
+	// the bus term of EarliestIssue never exceeds the current cycle and
+	// the now >= optAt test is exact (the same argument that lets
+	// dram.Channel omit a command-bus epoch). A group skipped on its
+	// earliest-issue bound is not revalidated, so its cache may be stale
+	// until the next pass that reaches it.
 	cacheOK   bool
 	optKind   dram.CommandKind
 	optAt     uint64
@@ -78,10 +113,11 @@ type group struct {
 }
 
 // allocGroup takes a group entry from the free list (or grows the
-// arena) and initializes it for r's (row, bank). Request slices keep
-// their capacity across recycling, so a steady-state controller stops
-// allocating entirely; the arena is pre-sized at construction for the
-// worst case (one group per queued request).
+// arena and its bound array) and initializes it for r's (row, bank),
+// with its earliest-issue bound unknown. Request slices keep their
+// capacity across recycling, so a steady-state controller stops
+// allocating entirely; the first fold sizes the arena for its batch
+// (groupFold).
 func (c *Controller) allocGroup(r *Request, bank int32) int32 {
 	var h int32
 	if n := len(c.grpFree); n > 0 {
@@ -89,8 +125,10 @@ func (c *Controller) allocGroup(r *Request, bank int32) int32 {
 		c.grpFree = c.grpFree[:n-1]
 	} else {
 		c.grp = append(c.grp, group{})
+		c.grpBound = append(c.grpBound, 0)
 		h = int32(len(c.grp) - 1)
 	}
+	c.grpBound[h] = 0
 	g := &c.grp[h]
 	g.row, g.bank = r.Loc.Row, bank
 	g.rankNo, g.bankNo = int32(r.Loc.Rank), int32(r.Loc.Bank)
@@ -121,7 +159,8 @@ func (c *Controller) groupFold() {
 	if cap(c.grp) == 0 && len(c.grpPending) > 0 {
 		// First fold: size the arena for the batch in one allocation
 		// instead of growing geometrically through it.
-		c.grp = make([]group, 0, len(c.grpPending)) //mclint:alloc-ok -- one-time arena sizing: cap(c.grp)==0 only before the first fold of a controller's life; the arena is reused (grpFree) forever after
+		c.grp = make([]group, 0, len(c.grpPending))       //mclint:alloc-ok -- one-time arena sizing: cap(c.grp)==0 only before the first fold of a controller's life; the arena is reused (grpFree) forever after
+		c.grpBound = make([]uint64, 0, len(c.grpPending)) //mclint:alloc-ok -- sized with the arena, once per controller life
 	}
 	for i, r := range c.grpPending {
 		c.groupEnqueue(r)
@@ -313,54 +352,75 @@ func (c *Controller) rescanBankMin(bk int32) {
 	c.bankMinRead[bk], c.bankMinWrite[bk] = minR, minW
 }
 
-// groupOption regenerates group g's candidate command with rep as its
-// representative (the group's oldest considered request) and appends
-// it to optBuf when legal at now, returning 1 when the candidate is a
-// row hit (legal or not — PendingRowHits counts both). The command
-// kind and earliest-issue cycle are cached per group; a cache hit
-// costs a few epoch compares and no dram legality call, so a tick in
-// which a bank's constraints did not move regenerates that bank's
-// options without touching the channel. dataE is c.ch.DataEpoch(),
-// hoisted by the caller once per tick. Column commands are the top of
-// the CommandKind enum, so kind >= CmdRead tests "row hit" in one
-// compare.
-func (c *Controller) groupOption(now uint64, g *group, rep *Request, oldest uint64, dataE uint32) int {
-	if g.cacheOK && g.repID == rep.ID && g.bankEpoch == g.bankRef.Epoch() &&
-		(g.optKind != dram.CmdActivate || g.rankEpoch == g.rankRef.ActEpoch()) &&
-		(g.optKind < dram.CmdRead || g.dataEpoch == dataE) {
-		if now >= g.optAt {
-			c.optBuf = append(c.optBuf, Option{
-				Cmd: dram.Command{Kind: g.optKind, Loc: rep.Loc}, Req: rep,
-				RowHit: g.optKind >= dram.CmdRead, BankOldestID: oldest,
-			})
-		}
-		if g.optKind >= dram.CmdRead {
-			return 1
-		}
-		return 0
+// repFor returns g's representative for a single-kind build: its
+// oldest write in modeWrites, else its oldest read.
+func (g *group) repFor(writes bool) *Request {
+	if writes {
+		return g.writes[0]
 	}
-	return c.groupOptionMiss(now, g, rep, oldest)
+	return g.reads[0]
 }
 
-// groupOptionMiss is groupOption's cache-miss path: recompute the
-// candidate command through dram and restamp the cache. Split out so
-// the hit path above stays small enough to stay cheap per group.
-func (c *Controller) groupOptionMiss(now uint64, g *group, rep *Request, oldest uint64) int {
+// cacheHit reports whether g's cached candidate command is still exact
+// for the representative with ID repID: the representative is the one
+// the cache was computed for and no dram constraint epoch the
+// command's legality depends on has moved. dataE is c.ch.DataEpoch(),
+// hoisted by the caller once per pass. Column commands are the top of
+// the CommandKind enum, so kind >= CmdRead tests "row hit" in one
+// compare.
+func (g *group) cacheHit(repID uint64, dataE uint32) bool {
+	return g.cacheOK && g.repID == repID && g.bankEpoch == g.bankRef.Epoch() &&
+		(g.optKind != dram.CmdActivate || g.rankEpoch == g.rankRef.ActEpoch()) &&
+		(g.optKind < dram.CmdRead || g.dataEpoch == dataE)
+}
+
+// refreshGroup is the cache-miss path shared by the option build and
+// the park fold: recompute g's candidate command for rep through dram
+// and restamp the cache.
+func (c *Controller) refreshGroup(g *group, rep *Request) {
 	kind := nextKind(g.bankRef, rep)
-	rowHit := kind >= dram.CmdRead
-	at := c.ch.EarliestIssue(dram.Command{Kind: kind, Loc: rep.Loc})
 	g.cacheOK = true
-	g.optKind, g.optAt, g.repID = kind, at, rep.ID
+	g.optKind, g.repID = kind, rep.ID
+	g.optAt = c.ch.EarliestIssue(dram.Command{Kind: kind, Loc: rep.Loc})
 	g.bankEpoch = g.bankRef.Epoch()
 	g.rankEpoch = g.rankRef.ActEpoch()
 	g.dataEpoch = c.ch.DataEpoch()
-	if now >= at {
+}
+
+// bound packs g's cached cycle and row-hit flag into an earliest-issue
+// bound word (see grpBound). Right after a stamp test or a refresh the
+// cycle is exact, so the word is the tightest bound there is.
+func (g *group) bound() uint64 {
+	b := g.optAt << 1
+	if g.optKind >= dram.CmdRead {
+		b |= 1
+	}
+	return b
+}
+
+// groupOption emits group g's candidate command, with rep as its
+// representative (the group's oldest considered request), into optBuf
+// when it is legal at now, and returns 1 when the candidate is a row
+// hit (legal or not — PendingRowHits counts both). The command kind and
+// earliest-issue cycle come from the group's cache; a stamp hit costs a
+// few epoch compares and no dram legality call, so a tick in which a
+// bank's constraints did not move regenerates that bank's options
+// without touching the channel, and a miss recomputes them
+// (refreshGroup). modeBoth's build calls it for every group; the
+// single-kind build open-codes it behind the earliest-issue bound test
+// (buildOptions).
+func (c *Controller) groupOption(now uint64, g *group, rep *Request, oldest uint64, dataE uint32) int {
+	if !g.cacheHit(rep.ID, dataE) {
+		c.refreshGroup(g, rep)
+	}
+	hit := g.optKind >= dram.CmdRead
+	if now >= g.optAt {
 		c.optBuf = append(c.optBuf, Option{
-			Cmd: dram.Command{Kind: kind, Loc: rep.Loc}, Req: rep,
-			RowHit: rowHit, BankOldestID: oldest,
+			Cmd: dram.Command{Kind: g.optKind, Loc: rep.Loc}, Req: rep,
+			RowHit: hit, BankOldestID: oldest,
 		})
 	}
-	if rowHit {
+	if hit {
 		return 1
 	}
 	return 0

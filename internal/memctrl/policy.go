@@ -35,8 +35,11 @@ type View struct {
 	ReadQLen, WriteQLen int
 	// WriteMode reports that the controller is draining writes.
 	WriteMode bool
-	// PendingRowHits is the number of queued requests (both queues)
-	// whose target row is currently open.
+	// PendingRowHits counts candidate groups, not requests: the
+	// (bank, row) groups among the queues this cycle's mode considers
+	// (reads, writes during a drain, or both for write-aware policies)
+	// whose next command is a column access to the open row, legal now
+	// or not. A group of several requests to the open row counts once.
 	PendingRowHits int
 	// Channel identifies the controller's channel.
 	Channel int

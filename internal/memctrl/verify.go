@@ -111,7 +111,8 @@ func (c *Controller) VerifyParkHorizon(now uint64, maxScan uint64) error {
 
 // VerifyCandidateGroups checks the incremental candidate-group index
 // (groups.go) against first principles: the structural invariants the
-// maintenance paths promise, then a behavioral comparison of
+// maintenance paths promise, the earliest-issue bounds against
+// dram.Channel.EarliestIssue, then a behavioral comparison of
 // buildOptions against buildOptionsRef, the preserved straight-port
 // rebuild. It is the group-index twin of VerifyParkHorizon; the
 // property suites call it between ticks, production code never does.
@@ -122,7 +123,9 @@ func (c *Controller) VerifyParkHorizon(now uint64, maxScan uint64) error {
 // cycle; calling mid-tick after an issue can report false mismatches.
 // The check folds pending enqueues and refreshes the per-group caches
 // and c.view — all state the next tick would recompute anyway — but
-// issues nothing and consults no policy.
+// issues nothing and consults no policy. The earliest-issue bounds and
+// their mode are restored on return, so a verified run carries the
+// same bounds from tick to tick as an unverified one.
 func (c *Controller) VerifyCandidateGroups(now uint64) error {
 	c.groupFold()
 
@@ -282,6 +285,42 @@ func (c *Controller) VerifyCandidateGroups(now uint64) error {
 				bk, c.bankMinRead[bk], c.bankMinWrite[bk], minR, minW)
 		}
 	}
+
+	// Earliest-issue bounds, checked before the builds below recompute
+	// them: over the order array of the mode they were last computed
+	// under, no bound may exceed the cycle its group's next command
+	// becomes legal, and a set bound's row-hit flag must name that
+	// command's class. A reset missed after a bank command, a mode
+	// change or a group's reuse shows here before it changes an option
+	// list or a park horizon. modeBoth keeps no bounds.
+	if len(c.grpBound) != len(c.grp) {
+		return fmt.Errorf("memctrl: groups: %d earliest-issue bounds for an arena of %d", len(c.grpBound), len(c.grp))
+	}
+	if c.boundMode != modeBoth {
+		writes := c.boundMode == modeWrites
+		order := c.readOrder
+		if writes {
+			order = c.writeOrder
+		}
+		for _, h := range order {
+			g := &c.grp[h]
+			cmd := c.commandFor(g.repFor(writes))
+			b := c.grpBound[h]
+			if at := c.ch.EarliestIssue(cmd); b>>1 > at {
+				return fmt.Errorf("memctrl: groups: handle %d (bank %d row %d) has earliest-issue bound %d past its %v's earliest issue %d",
+					h, g.bank, g.row, b>>1, cmd.Kind, at)
+			}
+			if b != 0 && (b&1 == 1) != (cmd.Kind >= dram.CmdRead) {
+				return fmt.Errorf("memctrl: groups: handle %d (bank %d row %d) has row-hit flag %d but its next command is %v",
+					h, g.bank, g.row, b&1, cmd.Kind)
+			}
+		}
+	}
+	savedBound := append([]uint64(nil), c.grpBound...)
+	defer func(mode uint8) {
+		copy(c.grpBound, savedBound)
+		c.boundMode = mode
+	}(c.boundMode)
 
 	// Behavioral pass: the incremental build must reproduce the
 	// reference rebuild bit for bit, in every queue-selection mode the
