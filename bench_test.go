@@ -458,9 +458,9 @@ func BenchmarkControllerParkReArm(b *testing.B) {
 // cycle while enqueues keep the queue at a fixed depth — the
 // steady-state busy regime where the per-tick candidate grouping
 // dominates. q48 fits the default queue caps; q224 is the deep-queue
-// (hyperscale) variant, where rebuilding the group table per tick
-// costs O(queue) but the actual change per tick is one dequeue plus
-// one enqueue. Both run FR-FCFS. atlas-q48 and qos-q48 run the
+// (hyperscale) variant: the build walks every live candidate group,
+// though the queue changes by one dequeue plus one enqueue per tick
+// and most groups skip on their earliest-issue memo. Both run FR-FCFS. atlas-q48 and qos-q48 run the
 // rank-ordered schedulers instead, per core and per tenant, with
 // requests spread over 16 cores and 4 tenants and a short quantum, so
 // every pick scans the queue under ranks that change as service

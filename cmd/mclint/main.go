@@ -1,8 +1,9 @@
 // Command mclint runs the repository's determinism- and
 // lifetime-invariant analyzer suite (internal/lint: maprange,
-// nodeterm, epochbump, horizonarm, groupsync, freelive, hotalloc) over
-// the named package patterns and exits non-zero on any finding. The interprocedural analyzers share one module-wide call
-// graph (internal/lint/callgraph), built once per run.
+// nodeterm, horizonarm, groupsync, freelive, hotalloc) over the named
+// package patterns and exits non-zero on any finding. The
+// interprocedural analyzers share one module-wide call graph
+// (internal/lint/callgraph), built once per run.
 //
 // Usage:
 //

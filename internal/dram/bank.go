@@ -23,19 +23,12 @@ func (s BankState) String() string {
 }
 
 // Bank tracks the row-buffer state of one DRAM bank together with the
-// earliest cycles at which each command class becomes legal. Times are
-// absolute controller cycles.
+// earliest cycles at which each command class becomes legal. Only a
+// command to the bank itself moves them. Times are absolute controller
+// cycles.
 type Bank struct {
 	State   BankState
 	OpenRow int
-
-	// epoch counts the commands applied to this bank. Every mutation
-	// of the bank-level constraint state (activate, read, write,
-	// precharge) bumps it, so a cached earliest-issue cycle stamped
-	// with the epoch is valid exactly while the stamp matches — the
-	// invalidation scheme behind the controller's candidate-group
-	// cache, which its option builder and park horizon both read.
-	epoch uint32
 
 	// actAllowedAt is the earliest cycle an ACTIVATE may issue
 	// (constrained by tRP after a precharge and tRC after the previous
@@ -58,12 +51,6 @@ type Bank struct {
 // RowAccesses returns the number of column accesses the currently
 // open row has received during this activation (0 for an idle bank).
 func (b *Bank) RowAccesses() int { return b.rowAccesses }
-
-// Epoch returns the bank's constraint epoch: it changes whenever a
-// command to this bank changes the bank-level legality thresholds
-// (state, open row, act/col/pre allowed-at times). Earliest-issue
-// caches stamp entries with it and revalidate by comparison.
-func (b *Bank) Epoch() uint32 { return b.epoch }
 
 // CanActivate reports whether an ACTIVATE is legal at cycle now,
 // considering only this bank's constraints (rank-level tRRD/tFAW are
@@ -115,7 +102,6 @@ func (b *Bank) NextPrechargeAt() uint64 {
 
 // activate applies an ACTIVATE at cycle now.
 func (b *Bank) activate(now uint64, row int, t *Timing) {
-	b.epoch++
 	b.State = BankActive
 	b.OpenRow = row
 	b.rowAccesses = 0
@@ -126,7 +112,6 @@ func (b *Bank) activate(now uint64, row int, t *Timing) {
 
 // read applies a READ at cycle now.
 func (b *Bank) read(now uint64, t *Timing) {
-	b.epoch++
 	b.rowAccesses++
 	// A precharge may not issue until tRTP after the read command.
 	if at := now + uint64(t.RTP); at > b.preAllowedAt {
@@ -137,7 +122,6 @@ func (b *Bank) read(now uint64, t *Timing) {
 // write applies a WRITE at cycle now; the write data finishes at
 // now+CWL+Burst and the bank must then observe tWR before precharge.
 func (b *Bank) write(now uint64, t *Timing) {
-	b.epoch++
 	b.rowAccesses++
 	if at := now + uint64(t.CWL+t.Burst+t.WR); at > b.preAllowedAt {
 		b.preAllowedAt = at
@@ -147,7 +131,6 @@ func (b *Bank) write(now uint64, t *Timing) {
 // precharge applies a PRECHARGE at cycle now and returns the number of
 // column accesses the closing row received during this activation.
 func (b *Bank) precharge(now uint64, t *Timing) int {
-	b.epoch++
 	accesses := b.rowAccesses
 	b.State = BankIdle
 	b.rowAccesses = 0
@@ -158,7 +141,7 @@ func (b *Bank) precharge(now uint64, t *Timing) int {
 }
 
 // Rank groups the banks of one rank and enforces the rank-level
-// activation constraints tRRD and tFAW.
+// activation constraints tRRD and tFAW, which only an ACTIVATE moves.
 type Rank struct {
 	Banks []Bank
 
@@ -168,12 +151,6 @@ type Rank struct {
 	// used for the four-activate-window check.
 	actTimes [4]uint64
 	actCount int
-
-	// actEpoch counts ACTIVATEs issued to this rank. The rank-level
-	// constraints (tRRD, tFAW) move only on an ACTIVATE, so a cached
-	// activation horizon stamped with the epoch stays exact for every
-	// bank of the rank until the stamp mismatches.
-	actEpoch uint32
 }
 
 func newRank(banks int) Rank {
@@ -210,13 +187,8 @@ func (r *Rank) NextActivateAt(t *Timing) uint64 {
 	return at
 }
 
-// ActEpoch returns the rank's activation-constraint epoch (see
-// actEpoch).
-func (r *Rank) ActEpoch() uint32 { return r.actEpoch }
-
 // recordActivate notes an ACTIVATE issued to this rank at cycle now.
 func (r *Rank) recordActivate(now uint64) {
-	r.actEpoch++
 	r.lastActAt = now
 	r.anyActivate = true
 	r.actTimes[r.actCount%4] = now

@@ -48,6 +48,13 @@ func (s *Stats) SingleAccessFraction() (frac float64, total uint64) {
 // Channel is the device model of one memory channel: its ranks and
 // banks, the shared command bus (one command per cycle) and the shared
 // data bus (one burst at a time, with turnaround penalties).
+//
+// Beyond the command bus, a command moves another bank's thresholds
+// only within its family, and only upward: an ACTIVATE moves its rank's
+// tRRD/tFAW window, a READ or WRITE the data bus, tWTR and the
+// read-to-write turnaround, and a PRECHARGE nothing outside its bank.
+// The controller's earliest-issue memos rely on this
+// (TestCrossBankFamilies).
 type Channel struct {
 	ID    int
 	Geo   Geometry
@@ -63,16 +70,6 @@ type Channel struct {
 	// lastReadDataEnd feeds the read-to-write turnaround.
 	lastWriteDataEnd uint64
 	lastReadDataEnd  uint64
-
-	// dataEpoch counts column accesses on this channel. The
-	// channel-level data-bus constraints (dataFreeAt, tWTR, the
-	// read-to-write bubble) move only on a READ or WRITE, so cached
-	// column earliest-issue cycles stamped with it revalidate by
-	// comparison. The command bus deliberately has no epoch: its
-	// constraint is lastCmdAt+1, which before the controller issues in
-	// a cycle never exceeds that cycle, so it can neither make a
-	// command legal now nor move a cycle that lies in the future.
-	dataEpoch uint32
 }
 
 // NewChannel returns a channel with all banks precharged.
@@ -88,10 +85,6 @@ func NewChannel(id int, geo Geometry, tim Timing) *Channel {
 func (c *Channel) Bank(rank, bank int) *Bank {
 	return &c.Ranks[rank].Banks[bank]
 }
-
-// DataEpoch returns the channel's data-bus constraint epoch (see
-// dataEpoch).
-func (c *Channel) DataEpoch() uint32 { return c.dataEpoch }
 
 // OpenRow returns the open row of the addressed bank and whether any
 // row is open.
@@ -248,7 +241,6 @@ func (c *Channel) Issue(now uint64, cmd Command) uint64 {
 		return now + uint64(c.Tim.RP)
 	case CmdRead:
 		bank.read(now, &c.Tim)
-		c.dataEpoch++
 		end := now + uint64(c.Tim.CAS+c.Tim.Burst)
 		c.dataFreeAt = end
 		c.lastReadDataEnd = end
@@ -257,7 +249,6 @@ func (c *Channel) Issue(now uint64, cmd Command) uint64 {
 		return end
 	case CmdWrite:
 		bank.write(now, &c.Tim)
-		c.dataEpoch++
 		end := now + uint64(c.Tim.CWL+c.Tim.Burst)
 		c.dataFreeAt = end
 		c.lastWriteDataEnd = end

@@ -1,12 +1,11 @@
 // Package lint assembles the mclint determinism-invariant analyzer
-// suite: maprange (no map-iteration order leaks), nodeterm (no
-// ambient nondeterminism sources), epochbump (dram timing mutations
-// bump their constraint epoch), horizonarm (horizon-moving entry
-// points re-arm the kernel wake-up queue), groupsync (memctrl
-// queue-membership mutations update the incremental candidate-group
-// index), freelive (no pointer to a free-listed object survives its
-// recycle point), hotalloc (//mclint:hotpath closures stay
-// allocation-free). The
+// suite of six analyzers: maprange (no map-iteration order leaks),
+// nodeterm (no ambient nondeterminism sources), horizonarm
+// (horizon-moving entry points re-arm the kernel wake-up queue),
+// groupsync (memctrl queue-membership mutations update the incremental
+// candidate-group index), freelive (no pointer to a free-listed object
+// survives its recycle point), hotalloc (//mclint:hotpath closures
+// stay allocation-free). The
 // interprocedural analyzers share one module-wide call graph
 // (internal/lint/callgraph), built once per run. cmd/mclint drives
 // the suite over package patterns; selfcheck_test.go keeps the module
@@ -19,7 +18,6 @@ import (
 	"go/token"
 
 	"cloudmc/internal/lint/analysis"
-	"cloudmc/internal/lint/epochbump"
 	"cloudmc/internal/lint/freelive"
 	"cloudmc/internal/lint/groupsync"
 	"cloudmc/internal/lint/horizonarm"
@@ -34,7 +32,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		maprange.Analyzer,
 		nodeterm.Analyzer,
-		epochbump.Analyzer,
 		horizonarm.Analyzer,
 		groupsync.Analyzer,
 		freelive.Analyzer,

@@ -237,14 +237,18 @@ type Controller struct {
 	// oldest-ID index (noID when the bank has none of that kind);
 	// grpPending spools enqueued requests until the next option build
 	// folds them in (the enqueue path stays O(1)). grpBound is the
-	// dense, handle-indexed lower bound on each group's earliest-issue
-	// cycle (cycle<<1 | row-hit flag, 0 = unknown) that lets the
-	// single-kind builds and the park fold skip groups that cannot
-	// issue yet; boundMode is the queue-selection mode the bounds were
-	// last computed under (see groups.go).
+	// dense, handle-indexed earliest-issue memo of each group
+	// (cycle<<1 | row-hit flag, 0 = unknown) that lets the single-kind
+	// builds and the park fold skip groups that cannot issue yet;
+	// boundMode is the queue-selection mode the bounds were last
+	// computed under; rankActs (per rank) and colCmds count the
+	// ACTIVATEs and column commands issueCmd sent, the cross-bank
+	// families a memo is stamped with (see groups.go).
 	grp        []group
 	grpBound   []uint64
 	boundMode  uint8
+	rankActs   []uint32
+	colCmds    uint32
 	grpFree    []int32
 	bankGroups [][]int32
 	//mclint:owns -- groupFold drains and nils every pending slot before any read of the index; a request cannot recycle while still queued, and it is queued for as long as it is pending
@@ -373,6 +377,7 @@ func New(cfg Config, ch *dram.Channel, policy Policy, page pagepolicy.Policy) (*
 		page:         page,
 		pagePure:     pagepolicy.IsPure(page),
 		pendingClose: make([]bool, banks),
+		rankActs:     make([]uint32, ch.Geo.Ranks),
 		bankGroups:   make([][]int32, banks),
 		bankMinRead:  make([]uint64, banks),
 		bankMinWrite: make([]uint64, banks),
@@ -769,24 +774,23 @@ func (c *Controller) Tick(now uint64) {
 //
 // The computation is a fold over the candidate groups' earliest-issue
 // cycles. The same tick's buildOptions offered no option and issued
-// nothing, so no constraint has moved since it ran, and every cycle
-// the fold takes lies past now, out of reach of the unstamped
-// command-bus term. EarliestIssue reads Loc.Row only for column
-// commands, where it is the open row, so every request of a group that
-// needs the same command kind shares its representative's cycle.
+// nothing, so every cycle the fold takes lies past now. EarliestIssue
+// reads Loc.Row only for column commands, where it is the open row, so
+// every request of a group that needs the same command kind shares its
+// representative's cycle.
 //
 // In the single-kind modes the build skipped groups on their
-// earliest-issue bound, so their caches may be stale. The fold
-// therefore considers a group only while its bound is below the
-// running minimum, and first makes that group's cycle exact (a stamp
-// test, refreshGroup on a miss). A group it passes over has a true
-// cycle at or above its bound, which is at or above the minimum, so
-// the result equals the fold over every group's exact cycle.
+// earliest-issue bound, which may have gone stale. The fold therefore
+// considers a group only while its bound is below the running minimum,
+// and takes that group's exact cycle from memo. A group it passes over
+// has a true cycle at or above its bound, which is at or above the
+// minimum, so the result equals the fold over every group's exact
+// cycle.
 //
-// modeBoth walks every group, all of which its build validated. A group
-// there holding reads and writes to the open row offers only its
-// oldest member's column command, and the other kind's command is
-// folded in uncached so the horizon still wakes for it
+// modeBoth keeps no memo and asks dram for each group's oldest read and
+// oldest write. A group holding reads and writes to the open row
+// offers only its oldest member's column command, and the other kind's
+// command is folded in too so the horizon still wakes for it
 // (VerifyParkHorizon holds every considered request to that rule).
 func (c *Controller) idleHorizon(now uint64) uint64 {
 	mode := c.queueMode(considersWrites(c.policy))
@@ -795,22 +799,12 @@ func (c *Controller) idleHorizon(now uint64) uint64 {
 	h := dram.Never
 	if mode == modeBoth {
 		for _, gh := range c.readOrder {
-			g := &c.grp[gh]
-			if g.optAt < h {
-				h = g.optAt
-			}
-			if g.optKind >= dram.CmdRead && len(g.writes) > 0 {
-				other := g.writes[0]
-				if g.optKind == dram.CmdWrite {
-					other = g.reads[0]
-				}
-				if at := c.earliestFor(other); at < h {
-					h = at
-				}
+			if at := c.earliestFor(c.grp[gh].reads[0]); at < h {
+				h = at
 			}
 		}
 		for _, gh := range c.writeOrder {
-			if at := c.grp[gh].optAt; at < h {
+			if at := c.earliestFor(c.grp[gh].writes[0]); at < h {
 				h = at
 			}
 		}
@@ -820,18 +814,16 @@ func (c *Controller) idleHorizon(now uint64) uint64 {
 		if writes {
 			order = c.writeOrder
 		}
-		dataE := c.ch.DataEpoch()
 		for _, gh := range order {
-			if c.grpBound[gh]>>1 >= h {
+			b := c.grpBound[gh]
+			if b>>1 >= h {
 				continue
 			}
 			g := &c.grp[gh]
-			if rep := g.repFor(writes); !g.cacheHit(rep.ID, dataE) {
-				c.refreshGroup(g, rep)
-			}
-			c.grpBound[gh] = g.bound()
-			if g.optAt < h {
-				h = g.optAt
+			kind, at := c.memo(g, b, g.repFor(writes))
+			c.grpBound[gh] = boundWord(kind, at)
+			if at < h {
+				h = at
 			}
 		}
 	}
@@ -865,7 +857,7 @@ func (c *Controller) commandFor(r *Request) dram.Command {
 }
 
 // nextKind is the one rule for a request's next command, shared by the
-// group cache (refreshGroup, which passes its group's cached bank
+// candidate groups (memo and groupOption, which pass their group's bank
 // pointer), the enqueue re-arm and VerifyParkHorizon (via commandFor).
 func nextKind(bank *dram.Bank, r *Request) dram.CommandKind {
 	switch {
@@ -959,24 +951,22 @@ func (c *Controller) consideredQueues(mixed bool) (primary, secondary []*Request
 // c.view from the incremental candidate-group index (groups.go):
 // at most one command per live (rank, bank, row) group, emitted in
 // the same first-appearance order as the reference rebuild. The cost
-// is O(live groups) per tick with an epoch-stamped cache hit per
-// group; dram legality is recomputed only for groups whose
-// representative changed or whose bank's constraint epochs moved.
+// is O(live groups) per tick, and in the single-kind modes (reads, or
+// a write drain) dram is asked only for groups whose memo is unknown
+// or whose command's family moved (see memo).
 //
-// In the single-kind modes (reads, or a write drain) a group whose
-// earliest-issue bound lies past now is skipped on that one word: its
-// command cannot be legal yet, so it adds no option, and its stored
-// row-hit flag still counts toward PendingRowHits. Every other group
-// takes the stamp test and stores its exact cycle as its new bound,
-// also on a cache hit. A mode change zeroes every bound first, since
-// it flips the column kind the bounds were computed for. modeBoth
-// walks every group without bounds: a group's representative there can
-// change kind from one tick to the next.
+// In the single-kind modes a group whose earliest-issue bound lies past
+// now is skipped on that one word: its command cannot be legal yet, so
+// it adds no option, and its stored row-hit flag still counts toward
+// PendingRowHits. Every other group asks memo and stores the word of
+// what it got, also on a hit. A mode change zeroes every bound first,
+// since it flips the column kind the bounds were computed for. modeBoth
+// walks every group without bounds and asks dram for each: a group's
+// representative there can change kind from one tick to the next.
 func (c *Controller) buildOptions(now uint64, mixed bool) {
 	c.groupFold()
 	c.optBuf = c.optBuf[:0]
 	grp := c.grp
-	dataE := c.ch.DataEpoch()
 	mode := c.queueMode(mixed)
 	if mode != c.boundMode {
 		clear(c.grpBound)
@@ -997,7 +987,7 @@ func (c *Controller) buildOptions(now uint64, mixed bool) {
 			if c.bankMinWrite[g.bank] < oldest {
 				oldest = c.bankMinWrite[g.bank]
 			}
-			pendingHits += c.groupOption(now, g, rep, oldest, dataE)
+			pendingHits += c.groupOption(now, g, rep, oldest)
 		}
 		for _, h := range c.writeOrder {
 			g := &grp[h]
@@ -1008,7 +998,7 @@ func (c *Controller) buildOptions(now uint64, mixed bool) {
 			if c.bankMinWrite[g.bank] < oldest {
 				oldest = c.bankMinWrite[g.bank]
 			}
-			pendingHits += c.groupOption(now, g, g.writes[0], oldest, dataE)
+			pendingHits += c.groupOption(now, g, g.writes[0], oldest)
 		}
 	} else {
 		writes := mode == modeWrites
@@ -1020,23 +1010,19 @@ func (c *Controller) buildOptions(now uint64, mixed bool) {
 		// bound > lim  <=>  bound>>1 > now, whatever the flag bit.
 		lim := now<<1 | 1
 		for _, h := range order {
-			if b := bnd[h]; b > lim {
+			b := bnd[h]
+			if b > lim {
 				pendingHits += int(b & 1)
 				continue
 			}
-			// groupOption, open-coded: in a saturated queue most groups
-			// pass the bound test, and the per-group call would then
-			// dominate the build (the function is too large to inline).
 			g := &grp[h]
 			rep := g.repFor(writes)
-			if !g.cacheHit(rep.ID, dataE) {
-				c.refreshGroup(g, rep)
-			}
-			b := g.bound()
+			kind, at := c.memo(g, b, rep)
+			b = boundWord(kind, at)
 			pendingHits += int(b & 1)
-			if now >= g.optAt {
+			if now >= at {
 				c.optBuf = append(c.optBuf, Option{
-					Cmd: dram.Command{Kind: g.optKind, Loc: rep.Loc}, Req: rep,
+					Cmd: dram.Command{Kind: kind, Loc: rep.Loc}, Req: rep,
 					RowHit: b&1 == 1, BankOldestID: bankMin[g.bank],
 				})
 			}
@@ -1192,14 +1178,23 @@ func (c *Controller) issue(now uint64, opt Option) {
 }
 
 // issueCmd sends cmd to the channel and returns what
-// dram.Channel.Issue returns. It is the controller's one path to Issue:
-// a command to a bank is one of the three events that can make a
-// candidate group's next command earlier (see groups.go), so it first
-// zeroes the earliest-issue bound of every group in the command's
-// bank, before a column access's removeRequest can free one.
+// dram.Channel.Issue returns. It is the controller's one path to Issue,
+// and so the one place that keeps the candidate groups' memos honest
+// (see groups.go and memo). A command to a bank can make a group's next
+// command earlier, so it first zeroes the earliest-issue bound of every
+// group in the command's bank, before a column access's removeRequest
+// can free one. A command to another bank can only raise a threshold of
+// its family, so it counts the family: ACTIVATEs per rank, column
+// commands per channel.
 func (c *Controller) issueCmd(now uint64, cmd dram.Command) uint64 {
 	for _, h := range c.bankGroups[cmd.Loc.Rank*c.ch.Geo.Banks+cmd.Loc.Bank] {
 		c.grpBound[h] = 0
+	}
+	switch cmd.Kind {
+	case dram.CmdActivate:
+		c.rankActs[cmd.Loc.Rank]++
+	case dram.CmdRead, dram.CmdWrite:
+		c.colCmds++
 	}
 	return c.ch.Issue(now, cmd)
 }

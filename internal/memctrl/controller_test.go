@@ -320,12 +320,14 @@ func TestViewOldestOption(t *testing.T) {
 	}
 }
 
-// TestEarliestIssueBound pins the candidate groups' earliest-issue
-// bound on one group waiting out its tRCD shadow: the read-mode build
-// skips it without touching its group, still counts it as a pending
-// row hit, and VerifyCandidateGroups reports a bound past the group's
-// EarliestIssue or a row-hit flag that disagrees with its next
-// command.
+// TestEarliestIssueBound pins the candidate groups' earliest-issue memo
+// on one group waiting out its tRCD shadow: the build stores the exact
+// cycle, kind and family stamp; VerifyCandidateGroups reports a bound
+// past EarliestIssue, a wrong row-hit flag or kind, and a fresh memo
+// with a wrong cycle; a loose bound whose family count has moved is
+// valid, and the build skips the group on it without touching it; and
+// once now reaches that bound, the moved count makes the build ask dram
+// again instead of trusting the loose cycle.
 func TestEarliestIssueBound(t *testing.T) {
 	ctl := testController(t, frPolicy{}, pagepolicy.NewOpen())
 	l := rloc(0, 0, 3, 0)
@@ -333,32 +335,61 @@ func TestEarliestIssueBound(t *testing.T) {
 	ctl.Tick(0) // ACT
 	ctl.Tick(1) // the READ waits for tRCD
 	h := ctl.readOrder[0]
+	g := &ctl.grp[h]
 	rd := ctl.ch.EarliestIssue(dram.Command{Kind: dram.CmdRead, Loc: l})
-	if rd <= 2 {
+	if rd <= 3 {
 		t.Fatalf("READ legal at %d; the test needs a tRCD shadow", rd)
 	}
-	if want := rd<<1 | 1; ctl.grpBound[h] != want {
-		t.Fatalf("bound %#x after the build, want %#x (READ at %d, row hit)", ctl.grpBound[h], want, rd)
+	exact := rd<<1 | 1
+	if ctl.grpBound[h] != exact || g.optKind != dram.CmdRead || g.stamp != ctl.colCmds {
+		t.Fatalf("memo %#x %v stamp %d after the build, want %#x (READ at %d, row hit) stamp %d",
+			ctl.grpBound[h], g.optKind, g.stamp, exact, rd, ctl.colCmds)
 	}
 
-	// A skipped group is not revalidated: its dropped cache stays
-	// dropped, and its row-hit flag still counts.
-	ctl.grp[h].cacheOK = false
+	// A fresh memo is trusted, so each of these must be reported: a
+	// bound past the READ, a wrong flag, a cycle before the READ but
+	// past now, a cycle at or before now, and a wrong kind.
+	for _, bad := range []uint64{(rd+1)<<1 | 1, rd << 1, (rd-1)<<1 | 1, 1<<1 | 1} {
+		ctl.grpBound[h] = bad
+		if err := ctl.VerifyCandidateGroups(2); err == nil {
+			t.Fatalf("bound %#x (READ at %d) not reported", bad, rd)
+		}
+	}
+	ctl.grpBound[h] = exact
+	g.optKind = dram.CmdWrite
+	if err := ctl.VerifyCandidateGroups(2); err == nil {
+		t.Fatal("memo naming a WRITE for a READ not reported")
+	}
+	g.optKind = dram.CmdRead
+	if err := ctl.VerifyCandidateGroups(2); err != nil {
+		t.Fatalf("exact memo reported: %v", err)
+	}
+
+	// A column command to another bank could have raised the READ's
+	// cycle; bumping colCmds by hand stands for one. The memo is then a
+	// lower bound only, so a loose bound is valid, and the build skips
+	// the group on it, leaves it untouched and still counts its row hit.
+	ctl.colCmds++
+	loose := (rd-1)<<1 | 1
+	ctl.grpBound[h] = loose
 	ctl.buildOptions(2, false)
-	if ctl.grp[h].cacheOK {
-		t.Fatal("the build revalidated a group whose bound lies past now")
+	if ctl.grpBound[h] != loose {
+		t.Fatalf("the build rewrote bound %#x to %#x; it lies past now", loose, ctl.grpBound[h])
 	}
 	if len(ctl.view.Options) != 0 || ctl.view.PendingRowHits != 1 {
 		t.Fatalf("build at 2: %d options, %d pending row hits; want 0 and 1", len(ctl.view.Options), ctl.view.PendingRowHits)
 	}
 	if err := ctl.VerifyCandidateGroups(2); err != nil {
-		t.Fatalf("valid bound reported: %v", err)
+		t.Fatalf("loose bound with a moved family reported: %v", err)
 	}
 
-	for _, bad := range []uint64{(rd+1)<<1 | 1, rd << 1} {
-		ctl.grpBound[h] = bad
-		if err := ctl.VerifyCandidateGroups(2); err == nil {
-			t.Fatalf("bound %#x (READ at %d) not reported", bad, rd)
-		}
+	// At the loose cycle the moved count forces a recompute: no option
+	// yet, and the exact memo is back under the new count.
+	ctl.buildOptions(rd-1, false)
+	if len(ctl.view.Options) != 0 {
+		t.Fatalf("build at %d trusted a stale memo: %+v", rd-1, ctl.view.Options)
+	}
+	if ctl.grpBound[h] != exact || g.stamp != ctl.colCmds {
+		t.Fatalf("recompute stored %#x stamp %d, want %#x stamp %d", ctl.grpBound[h], g.stamp, exact, ctl.colCmds)
 	}
 }

@@ -32,23 +32,21 @@ import "cloudmc/internal/dram"
 // grows, so it is deleted at its old key and re-inserted at the new
 // one (two binary searches plus memmoves over int32 handles).
 //
-// Earliest-issue bounds. In front of the per-group cache sits
-// grpBound, one word per handle: a lower bound on the cycle the
-// group's next command becomes legal, shifted left one bit, with a
-// row-hit flag (the command is a column access) in the low bit. The
+// Earliest-issue memos. A group's one memo of its next command is its
+// word in grpBound: the cycle that command becomes legal, shifted left
+// one bit, with a row-hit flag (the command is a column access) in the
+// low bit, or 0 when unknown. Beside it the group keeps the command's
+// kind and a stamp of that kind's cross-bank family (see memo). The
 // read- and write-mode builds skip a group whose bound lies past now
 // without loading the group, its representative or its bank, and count
-// its flag toward PendingRowHits; every other group takes the stamp
-// test and stores its exact cycle back as its new bound. The bound is a
-// filter, not a second source of truth: it never makes an option legal,
-// it only skips a group the cache would reject.
+// its flag toward PendingRowHits; every other group asks memo and
+// stores the word of what it got, also on a hit.
 //
-// A stale bound stays a lower bound. A command to another bank can
-// only raise the thresholds it touches (the rank's tRRD/tFAW window,
-// the data bus, tWTR, the read-to-write turnaround, the command bus),
-// and a group's command kind depends only on its own bank's state. So
-// only three events can make a group's next command earlier, and each
-// zeroes its bound:
+// A bound is exact when stored and stays a lower bound. A command to
+// another bank can only raise thresholds of its own family, and a
+// group's command kind depends only on its own bank's state. So only
+// three events can make a group's next command earlier, and each zeroes
+// its bound:
 //   - a command to the group's bank: issueCmd, the controller's one
 //     path to dram.Channel.Issue, zeroes the bank's groups before the
 //     issue can free any of them;
@@ -56,33 +54,31 @@ import "cloudmc/internal/dram"
 //     between READ and WRITE: buildOptions zeroes every bound;
 //   - a new group: allocGroup zeroes the recycled or fresh handle.
 //
-// The park fold (idleHorizon) skips on the same bounds and stays exact
-// by refreshing the cache of every group it does consider. modeBoth
-// (the mixed mode of write-aware policies) keeps no bounds and walks
-// every group, because a group's representative there can change kind
-// between ticks.
+// The park fold (idleHorizon) skips on the same bounds and asks memo
+// for every group it does consider. modeBoth (the mixed mode of
+// write-aware policies) keeps no bounds and no memo: a group's
+// representative there can change kind between ticks, so its build and
+// its park fold ask dram for every group.
 
 // noID is the "no request" sentinel for the per-bank oldest-ID index;
 // it compares greater than every real ID.
 const noID = ^uint64(0)
 
 // group is one live candidate group: the queued requests targeting a
-// single (bankIdx, row), split by kind and held oldest-first, plus
-// the group's cached candidate command (see cacheHit and
-// refreshGroup). Its earliest-issue bound lives outside the struct, in
-// the dense Controller.grpBound, so the skip test touches one word.
+// single (bankIdx, row), split by kind and held oldest-first, plus the
+// kind and stamp of its earliest-issue memo (see memo). The memo's
+// cycle lives outside the struct, in the dense Controller.grpBound, so
+// the skip test touches one word.
 type group struct {
 	row    int
 	bank   int32 // bankIdx = rank*banks + bank
 	rankNo int32 // bank's rank — stored so the hot path never divides
 	bankNo int32 // bank number within the rank
 
-	// bankRef and rankRef point at the group's dram bank and rank.
-	// dram.Channel never reallocates its Ranks or Banks slices after
-	// construction, so the pointers are stable and save the option
-	// builder a double slice index per group per tick.
+	// bankRef points at the group's dram bank. dram.Channel never
+	// reallocates its Ranks or Banks slices after construction, so the
+	// pointer is stable and saves the memo a double slice index.
 	bankRef *dram.Bank
-	rankRef *dram.Rank
 
 	// reads and writes hold the group's queued requests in ascending
 	// ID order; index 0 is the group's oldest of that kind.
@@ -91,25 +87,10 @@ type group struct {
 	//mclint:owns -- groupRemove pops the request from its group at issue/coalesce time, before its recycle; popGroupReq nils the vacated slot
 	writes []*Request
 
-	// Cached candidate command: the command kind and earliest-issue
-	// cycle this group computed last time its cache was refreshed. Valid
-	// while the representative request and the dram constraint epochs
-	// the command's legality depends on are unchanged (bank epoch
-	// always; rank ACT epoch for ACTIVATE, the tRRD/tFAW window; channel
-	// data epoch for column accesses). The command bus needs no stamp:
-	// at option-build time the controller has not issued this cycle, so
-	// the bus term of EarliestIssue never exceeds the current cycle and
-	// the now >= optAt test is exact (the same argument that lets
-	// dram.Channel omit a command-bus epoch). A group skipped on its
-	// earliest-issue bound is not revalidated, so its cache may be stale
-	// until the next pass that reaches it.
-	cacheOK   bool
-	optKind   dram.CommandKind
-	optAt     uint64
-	repID     uint64
-	bankEpoch uint32
-	rankEpoch uint32
-	dataEpoch uint32
+	// optKind is the command behind a non-zero bound, and stamp the
+	// count of that command's family when it was computed.
+	optKind dram.CommandKind
+	stamp   uint32
 }
 
 // allocGroup takes a group entry from the free list (or grows the
@@ -132,11 +113,9 @@ func (c *Controller) allocGroup(r *Request, bank int32) int32 {
 	g := &c.grp[h]
 	g.row, g.bank = r.Loc.Row, bank
 	g.rankNo, g.bankNo = int32(r.Loc.Rank), int32(r.Loc.Bank)
-	g.rankRef = &c.ch.Ranks[r.Loc.Rank]
-	g.bankRef = &g.rankRef.Banks[r.Loc.Bank]
+	g.bankRef = c.ch.Bank(r.Loc.Rank, r.Loc.Bank)
 	g.reads = g.reads[:0]
 	g.writes = g.writes[:0]
-	g.cacheOK = false
 	return h
 }
 
@@ -205,9 +184,11 @@ func (c *Controller) groupEnqueue(r *Request) {
 			c.bankMinRead[bk] = r.ID
 		}
 	}
-	// The cached candidate needs no invalidation: it is keyed to the
-	// representative's ID, and a representative change is detected at
-	// use (groupOption compares repID before trusting the cache).
+	// The memo needs no invalidation. A single-kind build's command for
+	// a group depends on its bank, its row and the mode's request kind,
+	// not on which request represents it; and a group that r brings
+	// into an order array has a zero bound, since only the builds and
+	// folds of that array's mode set one.
 }
 
 // groupRemove deletes r from its group, repairing the order arrays
@@ -361,38 +342,53 @@ func (g *group) repFor(writes bool) *Request {
 	return g.reads[0]
 }
 
-// cacheHit reports whether g's cached candidate command is still exact
-// for the representative with ID repID: the representative is the one
-// the cache was computed for and no dram constraint epoch the
-// command's legality depends on has moved. dataE is c.ch.DataEpoch(),
-// hoisted by the caller once per pass. Column commands are the top of
-// the CommandKind enum, so kind >= CmdRead tests "row hit" in one
-// compare.
-func (g *group) cacheHit(repID uint64, dataE uint32) bool {
-	return g.cacheOK && g.repID == repID && g.bankEpoch == g.bankRef.Epoch() &&
-		(g.optKind != dram.CmdActivate || g.rankEpoch == g.rankRef.ActEpoch()) &&
-		(g.optKind < dram.CmdRead || g.dataEpoch == dataE)
-}
-
-// refreshGroup is the cache-miss path shared by the option build and
-// the park fold: recompute g's candidate command for rep through dram
-// and restamp the cache.
-func (c *Controller) refreshGroup(g *group, rep *Request) {
+// memo returns g's next command kind and earliest-issue cycle for its
+// representative rep, given b, g's bound word. Every caller stores the
+// word of the memo it got (boundWord), so a non-zero b, g.optKind and
+// g.stamp describe one computation, and its cycle was exact then.
+//
+// It is still exact while the command's family count is unchanged.
+// Since b was stored, no command went to g's bank and the queue mode
+// did not change, or b would be 0. A command to another bank moves no
+// threshold of g's command outside its family (dram.Channel): an
+// ACTIVATE moves its rank's tRRD/tFAW window, a READ or WRITE the data
+// bus, tWTR and the read-to-write turnaround. issueCmd counts both
+// families (rankActs, colCmds). A PRECHARGE depends on its bank alone,
+// so it has no family. The command bus needs no count: a memo is read
+// only before the controller issues in a cycle, when the bus term
+// (the last command's cycle + 1) never exceeds now. It can neither make
+// a command legal now nor move a cycle past now, so a memo's cycle
+// past now is exact, and one at or before now means legal now.
+//
+// Otherwise memo asks dram and restamps.
+func (c *Controller) memo(g *group, b uint64, rep *Request) (dram.CommandKind, uint64) {
+	if b != 0 && g.stamp == c.familyCount(g.optKind, g.rankNo) {
+		return g.optKind, b >> 1
+	}
 	kind := nextKind(g.bankRef, rep)
-	g.cacheOK = true
-	g.optKind, g.repID = kind, rep.ID
-	g.optAt = c.ch.EarliestIssue(dram.Command{Kind: kind, Loc: rep.Loc})
-	g.bankEpoch = g.bankRef.Epoch()
-	g.rankEpoch = g.rankRef.ActEpoch()
-	g.dataEpoch = c.ch.DataEpoch()
+	g.optKind, g.stamp = kind, c.familyCount(kind, g.rankNo)
+	return kind, c.ch.EarliestIssue(dram.Command{Kind: kind, Loc: rep.Loc})
 }
 
-// bound packs g's cached cycle and row-hit flag into an earliest-issue
-// bound word (see grpBound). Right after a stamp test or a refresh the
-// cycle is exact, so the word is the tightest bound there is.
-func (g *group) bound() uint64 {
-	b := g.optAt << 1
-	if g.optKind >= dram.CmdRead {
+// familyCount is the count of the cross-bank family of a command of
+// the given kind to the given rank (see memo).
+func (c *Controller) familyCount(kind dram.CommandKind, rank int32) uint32 {
+	switch kind {
+	case dram.CmdActivate:
+		return c.rankActs[rank]
+	case dram.CmdPrecharge:
+		return 0
+	default:
+		return c.colCmds
+	}
+}
+
+// boundWord packs a memo into its earliest-issue bound word (see
+// grpBound). Column commands are the top of the CommandKind enum, so
+// kind >= CmdRead tests "row hit" in one compare.
+func boundWord(kind dram.CommandKind, at uint64) uint64 {
+	b := at << 1
+	if kind >= dram.CmdRead {
 		b |= 1
 	}
 	return b
@@ -401,26 +397,15 @@ func (g *group) bound() uint64 {
 // groupOption emits group g's candidate command, with rep as its
 // representative (the group's oldest considered request), into optBuf
 // when it is legal at now, and returns 1 when the candidate is a row
-// hit (legal or not — PendingRowHits counts both). The command kind and
-// earliest-issue cycle come from the group's cache; a stamp hit costs a
-// few epoch compares and no dram legality call, so a tick in which a
-// bank's constraints did not move regenerates that bank's options
-// without touching the channel, and a miss recomputes them
-// (refreshGroup). modeBoth's build calls it for every group; the
-// single-kind build open-codes it behind the earliest-issue bound test
-// (buildOptions).
-func (c *Controller) groupOption(now uint64, g *group, rep *Request, oldest uint64, dataE uint32) int {
-	if !g.cacheHit(rep.ID, dataE) {
-		c.refreshGroup(g, rep)
+// hit (legal or not — PendingRowHits counts both). modeBoth's build
+// calls it for every group; it keeps no memo and asks dram each time.
+func (c *Controller) groupOption(now uint64, g *group, rep *Request, oldest uint64) int {
+	kind := nextKind(g.bankRef, rep)
+	cmd := dram.Command{Kind: kind, Loc: rep.Loc}
+	if now >= c.ch.EarliestIssue(cmd) {
+		c.optBuf = append(c.optBuf, Option{Cmd: cmd, Req: rep, RowHit: kind >= dram.CmdRead, BankOldestID: oldest})
 	}
-	hit := g.optKind >= dram.CmdRead
-	if now >= g.optAt {
-		c.optBuf = append(c.optBuf, Option{
-			Cmd: dram.Command{Kind: g.optKind, Loc: rep.Loc}, Req: rep,
-			RowHit: hit, BankOldestID: oldest,
-		})
-	}
-	if hit {
+	if kind >= dram.CmdRead {
 		return 1
 	}
 	return 0

@@ -11,11 +11,11 @@ import (
 )
 
 // This file is the correctness suite of the park horizon, a fold over
-// the candidate groups' cached earliest-issue cycles:
+// the candidate groups' earliest-issue memos:
 //
 //   - refIdleHorizon is a straight port of the uncached idleHorizon
 //     (one EarliestIssue per queued request plus a full bank scan for
-//     pending closes); the harness asserts the cached fold computes
+//     pending closes); the harness asserts the memoized fold computes
 //     the identical horizon at every park, so folding one cycle per
 //     group provably changed nothing.
 //   - VerifyParkHorizon brute-forces every parked window cycle by

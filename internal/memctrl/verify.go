@@ -9,7 +9,7 @@ import (
 // This file is diagnostic/test support for the event-horizon machinery:
 // a brute-force, cycle-by-cycle re-derivation of "when could this
 // parked controller act" from the raw legality rules, independent of
-// the candidate groups' cached earliest-issue cycles and of
+// the candidate groups' earliest-issue memos and of
 // dram.Channel.EarliestIssue. The exactness property suites (memctrl
 // horizon tests and the core kernel differential tests) call it
 // whenever a controller parks or re-arms; production code never does.
@@ -111,21 +111,20 @@ func (c *Controller) VerifyParkHorizon(now uint64, maxScan uint64) error {
 
 // VerifyCandidateGroups checks the incremental candidate-group index
 // (groups.go) against first principles: the structural invariants the
-// maintenance paths promise, the earliest-issue bounds against
+// maintenance paths promise, the earliest-issue memos against
 // dram.Channel.EarliestIssue, then a behavioral comparison of
 // buildOptions against buildOptionsRef, the preserved straight-port
 // rebuild. It is the group-index twin of VerifyParkHorizon; the
 // property suites call it between ticks, production code never does.
 //
 // Precondition: call at a cycle boundary, before any command has been
-// issued at cycle now. The cached-legality argument (see group's
-// cacheOK comment) relies on the command bus being untouched this
-// cycle; calling mid-tick after an issue can report false mismatches.
-// The check folds pending enqueues and refreshes the per-group caches
-// and c.view — all state the next tick would recompute anyway — but
-// issues nothing and consults no policy. The earliest-issue bounds and
-// their mode are restored on return, so a verified run carries the
-// same bounds from tick to tick as an unverified one.
+// issued at cycle now. The memo argument (see memo) relies on the
+// command bus being untouched this cycle; calling mid-tick after an
+// issue can report false mismatches. The check folds pending enqueues
+// and rebuilds c.view — state the next tick would recompute anyway —
+// but issues nothing and consults no policy. The memos (bounds, kinds
+// and stamps) and their mode are restored on return, so a verified run
+// carries the same memos from tick to tick as an unverified one.
 func (c *Controller) VerifyCandidateGroups(now uint64) error {
 	c.groupFold()
 
@@ -150,8 +149,8 @@ func (c *Controller) VerifyCandidateGroups(now uint64) error {
 			if int(g.rankNo)*c.ch.Geo.Banks+int(g.bankNo) != bk {
 				return fmt.Errorf("memctrl: groups: handle %d rank/bank %d/%d disagrees with bank index %d", h, g.rankNo, g.bankNo, bk)
 			}
-			if g.bankRef != c.ch.Bank(int(g.rankNo), int(g.bankNo)) || g.rankRef != &c.ch.Ranks[g.rankNo] {
-				return fmt.Errorf("memctrl: groups: handle %d has stale bank/rank pointers", h)
+			if g.bankRef != c.ch.Bank(int(g.rankNo), int(g.bankNo)) {
+				return fmt.Errorf("memctrl: groups: handle %d has a stale bank pointer", h)
 			}
 			if len(g.reads) == 0 && len(g.writes) == 0 {
 				return fmt.Errorf("memctrl: groups: handle %d is live but empty", h)
@@ -286,13 +285,16 @@ func (c *Controller) VerifyCandidateGroups(now uint64) error {
 		}
 	}
 
-	// Earliest-issue bounds, checked before the builds below recompute
-	// them: over the order array of the mode they were last computed
-	// under, no bound may exceed the cycle its group's next command
-	// becomes legal, and a set bound's row-hit flag must name that
-	// command's class. A reset missed after a bank command, a mode
-	// change or a group's reuse shows here before it changes an option
-	// list or a park horizon. modeBoth keeps no bounds.
+	// Earliest-issue memos, checked before the builds below recompute
+	// them, over the order array of the mode they were last computed
+	// under. No bound may exceed the cycle its group's next command
+	// becomes legal, and a set bound's row-hit flag and kind must name
+	// that command. A set bound whose family count is unchanged is a
+	// memo the next build trusts (see memo): a cycle past now must be
+	// exact, and one at or before now must still be legal now. A reset
+	// missed after a bank command, a mode change or a group's reuse, or
+	// a family count missed by issueCmd, shows here before it changes an
+	// option list or a park horizon. modeBoth keeps no bounds.
 	if len(c.grpBound) != len(c.grp) {
 		return fmt.Errorf("memctrl: groups: %d earliest-issue bounds for an arena of %d", len(c.grpBound), len(c.grp))
 	}
@@ -305,20 +307,34 @@ func (c *Controller) VerifyCandidateGroups(now uint64) error {
 		for _, h := range order {
 			g := &c.grp[h]
 			cmd := c.commandFor(g.repFor(writes))
-			b := c.grpBound[h]
-			if at := c.ch.EarliestIssue(cmd); b>>1 > at {
+			b, at := c.grpBound[h], c.ch.EarliestIssue(cmd)
+			if b>>1 > at {
 				return fmt.Errorf("memctrl: groups: handle %d (bank %d row %d) has earliest-issue bound %d past its %v's earliest issue %d",
 					h, g.bank, g.row, b>>1, cmd.Kind, at)
 			}
-			if b != 0 && (b&1 == 1) != (cmd.Kind >= dram.CmdRead) {
-				return fmt.Errorf("memctrl: groups: handle %d (bank %d row %d) has row-hit flag %d but its next command is %v",
-					h, g.bank, g.row, b&1, cmd.Kind)
+			if b == 0 {
+				continue
+			}
+			if (b&1 == 1) != (cmd.Kind >= dram.CmdRead) || g.optKind != cmd.Kind {
+				return fmt.Errorf("memctrl: groups: handle %d (bank %d row %d) has memo %v with row-hit flag %d but its next command is %v",
+					h, g.bank, g.row, g.optKind, b&1, cmd.Kind)
+			}
+			if g.stamp != c.familyCount(g.optKind, g.rankNo) {
+				continue // its family moved: a lower bound only
+			}
+			if m := b >> 1; (m > now && m != at) || (m <= now && at > now) {
+				return fmt.Errorf("memctrl: groups: handle %d (bank %d row %d) memoizes its %v at %d, but its earliest issue is %d at cycle %d",
+					h, g.bank, g.row, cmd.Kind, m, at, now)
 			}
 		}
 	}
 	savedBound := append([]uint64(nil), c.grpBound...)
+	savedGrp := append([]group(nil), c.grp...)
 	defer func(mode uint8) {
 		copy(c.grpBound, savedBound)
+		for h := range savedGrp {
+			c.grp[h].optKind, c.grp[h].stamp = savedGrp[h].optKind, savedGrp[h].stamp
+		}
 		c.boundMode = mode
 	}(c.boundMode)
 
