@@ -468,8 +468,11 @@ func BenchmarkControllerParkReArm(b *testing.B) {
 // so the option set holds a realistic mix of activates, row hits and
 // conflicts. drain-q224 is q224's write-drain twin: a standing write
 // queue of 224 filled to WriteHi and held above WriteLo, so every tick
-// builds in write mode. allocs/op is reported: the steady-state busy
-// path, scheduler included, is expected to run allocation-free.
+// builds in write mode. rl-q48 runs the RL scheduler, which sees reads
+// and writes together, over a standing 24 reads and 24 writes, so
+// every tick builds in the mixed mode. allocs/op is reported: the
+// steady-state busy path, scheduler included, is expected to run
+// allocation-free.
 func BenchmarkBuildOptions(b *testing.B) {
 	geo := dram.Geometry{Channels: 1, Ranks: 4, Banks: 8, Rows: 1 << 14, Columns: 64, BlockBytes: 64}
 	atlas := sched.DefaultATLASConfig()
@@ -482,13 +485,14 @@ func BenchmarkBuildOptions(b *testing.B) {
 		kind   sched.Kind
 		opts   sched.Opts
 		spread bool // sources vary over cores and tenants
-		writes bool // the standing queue holds writes, not reads
+		writes int  // how many of the standing requests are writes
 	}{
-		{"q48", 48, sched.FRFCFS, sched.Opts{Cores: 16}, false, false},
-		{"q224", 224, sched.FRFCFS, sched.Opts{Cores: 16}, false, false},
-		{"atlas-q48", 48, sched.ATLAS, sched.Opts{Cores: 16, ATLAS: atlas}, true, false},
-		{"qos-q48", 48, sched.QoS, sched.Opts{Cores: 16, Tenants: 4, QoS: qos}, true, false},
-		{"drain-q224", 224, sched.FRFCFS, sched.Opts{Cores: 16}, false, true},
+		{"q48", 48, sched.FRFCFS, sched.Opts{Cores: 16}, false, 0},
+		{"q224", 224, sched.FRFCFS, sched.Opts{Cores: 16}, false, 0},
+		{"atlas-q48", 48, sched.ATLAS, sched.Opts{Cores: 16, ATLAS: atlas}, true, 0},
+		{"qos-q48", 48, sched.QoS, sched.Opts{Cores: 16, Tenants: 4, QoS: qos}, true, 0},
+		{"drain-q224", 224, sched.FRFCFS, sched.Opts{Cores: 16}, false, 224},
+		{"rl-q48", 48, sched.RL, sched.Opts{Cores: 16}, false, 24},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			depth := bc.depth
@@ -506,7 +510,7 @@ func BenchmarkBuildOptions(b *testing.B) {
 			ctl.SetFastForward(true)
 			banks := geo.Ranks * geo.Banks
 			seq := 0
-			enq := func(now uint64) bool {
+			enq := func(now uint64, write bool) bool {
 				src := memctrl.Source{Core: 1, Tenant: -1}
 				if bc.spread {
 					src = memctrl.Source{Core: seq % 16, Tenant: seq % 4}
@@ -519,7 +523,7 @@ func BenchmarkBuildOptions(b *testing.B) {
 					Column:  seq % geo.Columns,
 				}
 				var ok bool
-				if bc.writes {
+				if write {
 					ok = ctl.EnqueueWrite(now, src, uint64(seq)<<6, loc, nil)
 				} else {
 					ok = ctl.EnqueueRead(now, src, uint64(seq)<<6, loc, memctrl.ReadDemand, nil)
@@ -529,29 +533,35 @@ func BenchmarkBuildOptions(b *testing.B) {
 				}
 				return ok
 			}
-			queued := func() int {
-				r, w := ctl.QueueLens()
-				if bc.writes {
-					return w
+			// fill tops both queues up to their standing depths, and
+			// reports whether they got there.
+			fill := func(now uint64) bool {
+				for {
+					r, w := ctl.QueueLens()
+					switch {
+					case w < bc.writes:
+						if !enq(now, true) {
+							return false
+						}
+					case r < depth-bc.writes:
+						if !enq(now, false) {
+							return false
+						}
+					default:
+						return true
+					}
 				}
-				return r
 			}
 			now := uint64(0)
-			for queued() < depth {
-				if !enq(now) {
-					b.Fatal("could not pre-fill the queue")
-				}
+			if !fill(now) {
+				b.Fatal("could not pre-fill the queue")
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ctl.Tick(now)
 				now++
-				for queued() < depth {
-					if !enq(now) {
-						break
-					}
-				}
+				fill(now)
 			}
 		})
 	}

@@ -81,11 +81,15 @@ func randomProfile(rng *rand.Rand) workload.Profile {
 	return p
 }
 
+// pagePolicies names the six page policies; the differential suites
+// pick one by trial % 6, which leaves their random draws unchanged.
+var pagePolicies = [...]string{"Open", "Close", "OpenAdaptive", "CloseAdaptive", "RBPP", "ABPP"}
+
 // TestKernelDifferential is the differential property test of the
 // event kernel: random workloads (random traces by construction — the
-// generators are seeded stochastic streams) stepped through the engine
-// queue must produce identical event orderings and Metrics to the
-// naive per-cycle loop, the ground truth.
+// generators are seeded stochastic streams) under every page policy,
+// stepped through the engine queue, must produce identical event
+// orderings and Metrics to the naive per-cycle loop, the ground truth.
 func TestKernelDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paired simulations are slow")
@@ -96,6 +100,7 @@ func TestKernelDifferential(t *testing.T) {
 		p := randomProfile(rng)
 		cfg := DefaultConfig(p)
 		cfg.Scheduler = kinds[rng.Intn(len(kinds))]
+		cfg.PagePolicy = pagePolicies[trial%len(pagePolicies)]
 		cfg.Channels = 1 << rng.Intn(3)
 		cfg.Seed = rng.Uint64() | 1
 		cfg.WarmupCycles = 2_000
@@ -105,8 +110,9 @@ func TestKernelDifferential(t *testing.T) {
 			QuantumCycles: 3_000, Alpha: 0.875,
 			StarvationThreshold: 500, ScanDepth: 2,
 		}
-		label := p.Acronym + "/" + cfg.Scheduler.String()
-		t.Run(label, func(t *testing.T) {
+		name := p.Acronym + "/" + cfg.Scheduler.String()
+		label := name + "/" + pagePolicyFor(cfg).Name()
+		t.Run(name, func(t *testing.T) {
 			m := runModes(t, cfg, label)
 			if m.Retired == 0 {
 				t.Fatalf("%s: degenerate trial retired nothing", label)
@@ -300,7 +306,8 @@ func nightly() bool { return os.Getenv("MCSIM_NIGHTLY") != "" }
 
 // TestNightlyKernelDifferential is the long-form differential suite:
 // many randomized naive-vs-kernel trials at 4x the per-PR cycle
-// counts, plus the 256-core, 8-channel machine.
+// counts under every page policy, plus the 256-core, 8-channel
+// machine.
 func TestNightlyKernelDifferential(t *testing.T) {
 	if !nightly() {
 		t.Skip("set MCSIM_NIGHTLY=1 to run the long-form differential suite")
@@ -317,6 +324,7 @@ func TestNightlyKernelDifferential(t *testing.T) {
 		p := randomProfile(rng)
 		cfg := DefaultConfig(p)
 		cfg.Scheduler = kinds[rng.Intn(len(kinds))]
+		cfg.PagePolicy = pagePolicies[trial%len(pagePolicies)]
 		cfg.Channels = 1 << rng.Intn(4) // up to 8 channels
 		cfg.Seed = rng.Uint64() | 1
 		cfg.WarmupCycles = 8_000
@@ -326,8 +334,9 @@ func TestNightlyKernelDifferential(t *testing.T) {
 			QuantumCycles: 6_000, Alpha: 0.875,
 			StarvationThreshold: 1_000, ScanDepth: 2,
 		}
-		label := p.Acronym + "/" + cfg.Scheduler.String()
-		t.Run(label, func(t *testing.T) {
+		name := p.Acronym + "/" + cfg.Scheduler.String()
+		label := name + "/" + pagePolicyFor(cfg).Name()
+		t.Run(name, func(t *testing.T) {
 			if m := runModes(t, cfg, label); m.Retired == 0 {
 				t.Fatalf("%s: degenerate trial retired nothing", label)
 			}

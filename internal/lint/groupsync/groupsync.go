@@ -2,14 +2,18 @@
 // contract of cloudmc/internal/memctrl: the controller keeps one live
 // group entry per (bankIdx, row) — the input of buildOptions —
 // updated incrementally as requests enter and leave the queues. Any
-// function that changes queue membership (the readQ/writeQ slices) or
-// flips the write-drain mode MUST update the index in the same
-// function, by calling one of the maintenance entry points (groupNote,
-// groupRemove, groupEnqueue, groupFold) or rebuilding the option set
-// (buildOptions, which folds pending updates). Otherwise the index
-// silently diverges from the queues and the incremental option builder
-// emits a stale candidate set — a divergence only the differential
-// suites would catch, one randomized stream too late.
+// function that changes queue membership (the readQ/writeQ slices)
+// MUST update the index in the same function, by calling one of the
+// maintenance entry points (groupNote, groupRemove, groupEnqueue,
+// groupFold) or rebuilding the option set (buildOptions, which folds
+// pending updates). Otherwise the index silently diverges from the
+// queues and the incremental option builder emits a stale candidate
+// set — a divergence only the differential suites would catch, one
+// randomized stream too late.
+//
+// The write-drain flag is outside the contract: the index reads it
+// only through the mode each build derives, and no memo is keyed on
+// the mode.
 //
 // The group type's own reads/writes lists are deliberately outside
 // the contract: mutating them IS the index maintenance.
@@ -28,8 +32,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "groupsync",
 	Doc: "requires every function in cloudmc/internal/memctrl that mutates queue membership " +
-		"(readQ/writeQ) or the write-drain mode to update the " +
-		"candidate-group index in the same function",
+		"(readQ/writeQ) to update the candidate-group index in the same function",
 	Run: run,
 }
 
@@ -37,7 +40,7 @@ var Analyzer = &analysis.Analyzer{
 // address-taking — removeRequest edits the queues through pointers)
 // requires index maintenance in the same function.
 var guarded = map[string]map[string]bool{
-	"Controller": {"readQ": true, "writeQ": true, "writeMode": true},
+	"Controller": {"readQ": true, "writeQ": true},
 }
 
 // syncCalls are the maintenance entry points that discharge the

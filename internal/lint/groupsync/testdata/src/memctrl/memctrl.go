@@ -19,9 +19,8 @@ type group struct {
 
 // Controller mirrors the guarded queue fields plus index state.
 type Controller struct {
-	readQ     []*Request
-	writeQ    []*Request
-	writeMode bool
+	readQ  []*Request
+	writeQ []*Request
 
 	grp        []group
 	grpPending []*Request
@@ -62,15 +61,11 @@ func (c *Controller) removeBad(r *Request) {
 	*q = (*q)[:len(*q)-1]
 }
 
-// flipGood flips drain mode and rebuilds the option set.
-func (c *Controller) flipGood(now uint64) {
-	c.writeMode = !c.writeMode
+// truncateGood empties the read queue and rebuilds the option set,
+// which folds the index.
+func (c *Controller) truncateGood(now uint64) {
+	c.readQ = c.readQ[:0]
 	c.buildOptions(now, false)
-}
-
-// flipBad flips drain mode with no rebuild.
-func (c *Controller) flipBad() {
-	c.writeMode = !c.writeMode // want `flipBad mutates Controller.writeMode but never updates the candidate-group index`
 }
 
 // groupListsFree mutates a group's own lists: index maintenance

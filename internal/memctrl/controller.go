@@ -156,10 +156,6 @@ type Controller struct {
 	ch     *dram.Channel
 	policy Policy
 	page   pagepolicy.Policy
-	// pagePure records whether page's ShouldClose is a pure function
-	// of its context (pagepolicy.IsPure); it widens the enqueue fast
-	// path (see noteEnqueue).
-	pagePure bool
 
 	//mclint:owns -- a request leaves readQ at issue/forward time (removeRequest), strictly before its recycle in Tick step 1
 	readQ []*Request
@@ -198,15 +194,7 @@ type Controller struct {
 
 	// pendingClose marks banks whose open row the page policy has
 	// decided to precharge once timing allows; indexed rank*banks+bank.
-	// All writes go through setPendingClose so the pendingCloseN count
-	// stays coherent.
 	pendingClose []bool
-	// pendingCloseN counts set pendingClose flags. While it is
-	// non-zero an enqueue falls back to a full wake-up tick, which
-	// keeps the page policy's ShouldClose re-validation schedule (a
-	// stateful call for the predictive policies) bit-identical to the
-	// per-cycle loop.
-	pendingCloseN int
 
 	// fastPath enables the event-horizon tick skip; off, Tick runs its
 	// full body every cycle exactly like the original lockstep loop.
@@ -236,17 +224,16 @@ type Controller struct {
 	// oldest-member ID; bankMinRead/bankMinWrite are the per-bank
 	// oldest-ID index (noID when the bank has none of that kind);
 	// grpPending spools enqueued requests until the next option build
-	// folds them in (the enqueue path stays O(1)). grpBound is the
-	// dense, handle-indexed earliest-issue memo of each group
-	// (cycle<<1 | row-hit flag, 0 = unknown) that lets the single-kind
-	// builds and the park fold skip groups that cannot issue yet;
-	// boundMode is the queue-selection mode the bounds were last
-	// computed under; rankActs (per rank) and colCmds count the
-	// ACTIVATEs and column commands issueCmd sent, the cross-bank
-	// families a memo is stamped with (see groups.go).
+	// folds them in (the enqueue path stays O(1)). grpBound holds the
+	// dense, handle-indexed earliest-issue memos of each group, one
+	// array for its oldest read and one for its oldest write
+	// (cycle<<1 | row-hit flag, 0 = unknown), that let the builds and
+	// the park fold skip groups that cannot issue yet; rankActs (per
+	// rank) and colCmds count the ACTIVATEs and column commands
+	// issueCmd sent, the cross-bank families a memo is stamped with
+	// (see groups.go).
 	grp        []group
-	grpBound   []uint64
-	boundMode  uint8
+	grpBound   [2][]uint64
 	rankActs   []uint32
 	colCmds    uint32
 	grpFree    []int32
@@ -375,7 +362,6 @@ func New(cfg Config, ch *dram.Channel, policy Policy, page pagepolicy.Policy) (*
 		ch:           ch,
 		policy:       policy,
 		page:         page,
-		pagePure:     pagepolicy.IsPure(page),
 		pendingClose: make([]bool, banks),
 		rankActs:     make([]uint32, ch.Geo.Ranks),
 		bankGroups:   make([][]int32, banks),
@@ -557,28 +543,18 @@ func (c *Controller) scheduleCompletion(r *Request, at uint64) {
 // full wake-up exactly as before:
 //   - an established horizon (wakeAt > now; a hot controller ticks
 //     this cycle regardless, so nothing is saved or risked);
-//   - no pending page-policy close whose decision this enqueue could
-//     affect: the full tick after an enqueue re-validates closes via
-//     ShouldClose with the new queue contents. For a pure policy
-//     (pagepolicy.IsPure) only the enqueued bank's context changes, so
-//     only a close pending on that bank forces the fallback; for the
-//     stateful predictive policies every ShouldClose call mutates
-//     predictor state, so any pending close anywhere does;
+//   - no page-policy close pending on r's bank: the full tick after an
+//     enqueue re-validates closes via ShouldClose, and r changes that
+//     bank's context. Every other pending close keeps its context, and
+//     a repeated ShouldClose call with an unchanged context changes no
+//     later answer (the pagepolicy.Policy contract), so skipping the
+//     calls the parked cycles would have made is invisible;
 //   - an unchanged queue-selection mode: a drain-watermark crossing or
 //     an empty-read-queue transition changes which queues the next
 //     tick considers, invalidating the whole established horizon.
 func (c *Controller) noteEnqueue(r *Request, now uint64) {
-	if !c.fastPath || c.wakeAt == 0 || c.wakeAt <= now {
-		c.wakeAt = 0
-		return
-	}
-	if c.pendingCloseN > 0 {
-		if !c.pagePure || c.pendingClose[r.Loc.Rank*c.ch.Geo.Banks+r.Loc.Bank] {
-			c.wakeAt = 0
-			return
-		}
-	}
-	if c.projectedMode() != c.parkMode {
+	if !c.fastPath || c.wakeAt == 0 || c.wakeAt <= now ||
+		c.pendingClose[r.Loc.Rank*c.ch.Geo.Banks+r.Loc.Bank] || c.projectedMode() != c.parkMode {
 		c.wakeAt = 0
 		return
 	}
@@ -634,20 +610,6 @@ func (c *Controller) requestConsidered(r *Request) bool {
 		return r.Kind.IsWrite()
 	default:
 		return !r.Kind.IsWrite()
-	}
-}
-
-// setPendingClose writes one pendingClose flag, keeping the count
-// coherent.
-func (c *Controller) setPendingClose(idx int, v bool) {
-	if c.pendingClose[idx] == v {
-		return
-	}
-	c.pendingClose[idx] = v
-	if v {
-		c.pendingCloseN++
-	} else {
-		c.pendingCloseN--
 	}
 }
 
@@ -773,69 +735,42 @@ func (c *Controller) Tick(now uint64) {
 // validations cannot change during the skipped window.
 //
 // The computation is a fold over the candidate groups' earliest-issue
-// cycles. The same tick's buildOptions offered no option and issued
-// nothing, so every cycle the fold takes lies past now. EarliestIssue
-// reads Loc.Row only for column commands, where it is the open row, so
-// every request of a group that needs the same command kind shares its
-// representative's cycle.
+// memos, one per request kind the parked mode considers: the read
+// memos over readOrder unless the mode is modeWrites, the write memos
+// over writeOrder unless it is modeReads. The same tick's buildOptions
+// offered no option and issued nothing, so every cycle a single-kind
+// fold takes lies past now. EarliestIssue reads Loc.Row only for column
+// commands, where it is the open row, so every request of a group that
+// needs the same command kind shares its oldest one's cycle. In
+// modeBoth a group holding reads and writes to the open row offers only
+// its oldest member's column command, and the other kind's memo is
+// folded in too, so the horizon still wakes for it (VerifyParkHorizon
+// holds every considered request to that rule).
 //
-// In the single-kind modes the build skipped groups on their
-// earliest-issue bound, which may have gone stale. The fold therefore
-// considers a group only while its bound is below the running minimum,
-// and takes that group's exact cycle from memo. A group it passes over
-// has a true cycle at or above its bound, which is at or above the
-// minimum, so the result equals the fold over every group's exact
-// cycle.
-//
-// modeBoth keeps no memo and asks dram for each group's oldest read and
-// oldest write. A group holding reads and writes to the open row
-// offers only its oldest member's column command, and the other kind's
-// command is folded in too so the horizon still wakes for it
-// (VerifyParkHorizon holds every considered request to that rule).
+// The build skipped groups on their earliest-issue bounds, which may
+// have gone stale. The fold therefore considers a group only while its
+// bound is below the running minimum, and takes that group's exact
+// cycle from memo. A group it passes over has a true cycle at or above
+// its bound, which is at or above the minimum, so the result equals the
+// fold over every group's exact cycle.
 func (c *Controller) idleHorizon(now uint64) uint64 {
 	mode := c.queueMode(considersWrites(c.policy))
 	c.parkMode = mode
 
 	h := dram.Never
-	if mode == modeBoth {
-		for _, gh := range c.readOrder {
-			if at := c.earliestFor(c.grp[gh].reads[0]); at < h {
-				h = at
-			}
-		}
-		for _, gh := range c.writeOrder {
-			if at := c.earliestFor(c.grp[gh].writes[0]); at < h {
-				h = at
-			}
-		}
-	} else {
-		writes := mode == modeWrites
-		order := c.readOrder
-		if writes {
-			order = c.writeOrder
-		}
-		for _, gh := range order {
-			b := c.grpBound[gh]
-			if b>>1 >= h {
-				continue
-			}
-			g := &c.grp[gh]
-			kind, at := c.memo(g, b, g.repFor(writes))
-			c.grpBound[gh] = boundWord(kind, at)
-			if at < h {
-				h = at
-			}
-		}
+	if mode != modeWrites {
+		h = c.foldMemos(c.readOrder, 0, h)
 	}
-	if c.pendingCloseN > 0 {
-		for b, pending := range c.pendingClose {
-			if !pending {
-				continue
-			}
-			loc := dram.Location{Channel: c.ch.ID, Rank: b / c.ch.Geo.Banks, Bank: b % c.ch.Geo.Banks}
-			if at := c.ch.EarliestIssue(dram.Command{Kind: dram.CmdPrecharge, Loc: loc}); at < h {
-				h = at
-			}
+	if mode != modeReads {
+		h = c.foldMemos(c.writeOrder, 1, h)
+	}
+	for b, pending := range c.pendingClose {
+		if !pending {
+			continue
+		}
+		loc := dram.Location{Channel: c.ch.ID, Rank: b / c.ch.Geo.Banks, Bank: b % c.ch.Geo.Banks}
+		if at := c.ch.EarliestIssue(dram.Command{Kind: dram.CmdPrecharge, Loc: loc}); at < h {
+			h = at
 		}
 	}
 
@@ -846,6 +781,21 @@ func (c *Controller) idleHorizon(now uint64) uint64 {
 	}
 	if h <= now {
 		h = now + 1
+	}
+	return h
+}
+
+// foldMemos folds the kind-w memos of the groups in order into the
+// running minimum h (see idleHorizon).
+func (c *Controller) foldMemos(order []int32, w int, h uint64) uint64 {
+	bnd := c.grpBound[w]
+	for _, gh := range order {
+		if bnd[gh]>>1 >= h {
+			continue
+		}
+		if _, at := c.memo(gh, w); at < h {
+			h = at
+		}
 	}
 	return h
 }
@@ -951,82 +901,76 @@ func (c *Controller) consideredQueues(mixed bool) (primary, secondary []*Request
 // c.view from the incremental candidate-group index (groups.go):
 // at most one command per live (rank, bank, row) group, emitted in
 // the same first-appearance order as the reference rebuild. The cost
-// is O(live groups) per tick, and in the single-kind modes (reads, or
-// a write drain) dram is asked only for groups whose memo is unknown
-// or whose command's family moved (see memo).
+// is O(live groups) per tick, and dram is asked only for groups whose
+// memo is unknown or whose command's family moved (see memo).
 //
-// In the single-kind modes a group whose earliest-issue bound lies past
-// now is skipped on that one word: its command cannot be legal yet, so
-// it adds no option, and its stored row-hit flag still counts toward
-// PendingRowHits. Every other group asks memo and stores the word of
-// what it got, also on a hit. A mode change zeroes every bound first,
-// since it flips the column kind the bounds were computed for. modeBoth
-// walks every group without bounds and asks dram for each: a group's
-// representative there can change kind from one tick to the next.
+// A group offers its representative's command: its oldest request of
+// the mode's kind, or in modeBoth its oldest request of either kind.
+// When the bound of that request kind's memo lies past now the group is
+// skipped on that one word: its command cannot be legal yet, so it adds
+// no option, and the bound's row-hit flag still counts toward
+// PendingRowHits. The single-kind modes test the bound before loading
+// the group at all.
 func (c *Controller) buildOptions(now uint64, mixed bool) {
 	c.groupFold()
 	c.optBuf = c.optBuf[:0]
 	grp := c.grp
 	mode := c.queueMode(mixed)
-	if mode != c.boundMode {
-		clear(c.grpBound)
-		c.boundMode = mode
-	}
 	var pendingHits int
+	// bound > lim  <=>  bound>>1 > now, whatever the flag bit.
+	lim := now<<1 | 1
 	if mode == modeBoth {
 		// Reference order: groups with queued reads first (ascending
 		// oldest-read ID — their first appearance scanning the read
 		// queue), then write-only groups (ascending oldest-write ID).
 		for _, h := range c.readOrder {
 			g := &grp[h]
-			rep := g.reads[0]
+			rep, w := g.reads[0], 0
 			if len(g.writes) > 0 && g.writes[0].ID < rep.ID {
-				rep = g.writes[0]
+				rep, w = g.writes[0], 1
 			}
-			oldest := c.bankMinRead[g.bank]
-			if c.bankMinWrite[g.bank] < oldest {
-				oldest = c.bankMinWrite[g.bank]
+			if b := c.grpBound[w][h]; b > lim {
+				pendingHits += int(b & 1)
+				continue
 			}
-			pendingHits += c.groupOption(now, g, rep, oldest)
+			pendingHits += c.groupOption(now, h, w, rep, min(c.bankMinRead[g.bank], c.bankMinWrite[g.bank]))
 		}
 		for _, h := range c.writeOrder {
 			g := &grp[h]
 			if len(g.reads) > 0 {
 				continue // already emitted via readOrder
 			}
-			oldest := c.bankMinRead[g.bank]
-			if c.bankMinWrite[g.bank] < oldest {
-				oldest = c.bankMinWrite[g.bank]
-			}
-			pendingHits += c.groupOption(now, g, g.writes[0], oldest)
-		}
-	} else {
-		writes := mode == modeWrites
-		order, bankMin := c.readOrder, c.bankMinRead
-		if writes {
-			order, bankMin = c.writeOrder, c.bankMinWrite
-		}
-		bnd := c.grpBound
-		// bound > lim  <=>  bound>>1 > now, whatever the flag bit.
-		lim := now<<1 | 1
-		for _, h := range order {
-			b := bnd[h]
-			if b > lim {
+			if b := c.grpBound[1][h]; b > lim {
 				pendingHits += int(b & 1)
 				continue
 			}
+			pendingHits += c.groupOption(now, h, 1, g.writes[0], min(c.bankMinRead[g.bank], c.bankMinWrite[g.bank]))
+		}
+	} else {
+		w, order, bankMin := 0, c.readOrder, c.bankMinRead
+		if mode == modeWrites {
+			w, order, bankMin = 1, c.writeOrder, c.bankMinWrite
+		}
+		bnd := c.grpBound[w]
+		for _, h := range order {
+			if b := bnd[h]; b > lim {
+				pendingHits += int(b & 1)
+				continue
+			}
+			// groupOption's steps, open-coded to save a call per group
+			// on the hot path.
 			g := &grp[h]
-			rep := g.repFor(writes)
-			kind, at := c.memo(g, b, rep)
-			b = boundWord(kind, at)
-			pendingHits += int(b & 1)
+			rep := g.rep(w)
+			kind, at := c.memo(h, w)
 			if now >= at {
 				c.optBuf = append(c.optBuf, Option{
 					Cmd: dram.Command{Kind: kind, Loc: rep.Loc}, Req: rep,
-					RowHit: b&1 == 1, BankOldestID: bankMin[g.bank],
+					RowHit: kind >= dram.CmdRead, BankOldestID: bankMin[g.bank],
 				})
 			}
-			bnd[h] = b
+			if kind >= dram.CmdRead {
+				pendingHits++
+			}
 		}
 	}
 
@@ -1140,7 +1084,7 @@ func (c *Controller) issue(now uint64, opt Option) {
 			c.trace.Command(now, opt.Cmd, opt.Req.Tenant)
 		}
 		opt.Req.triggeredActivate = true
-		c.setPendingClose(bankIdx, false)
+		c.pendingClose[bankIdx] = false
 		c.page.OnActivate(loc)
 	case dram.CmdPrecharge:
 		bank := c.ch.Bank(loc.Rank, loc.Bank)
@@ -1152,7 +1096,7 @@ func (c *Controller) issue(now uint64, opt Option) {
 			c.trace.Command(now, dram.Command{Kind: dram.CmdPrecharge, Loc: closed}, opt.Req.Tenant)
 		}
 		opt.Req.triggeredConflict = true
-		c.setPendingClose(bankIdx, false)
+		c.pendingClose[bankIdx] = false
 		c.Stats.ConflictCloses++
 		c.page.OnRowClosed(closed, accesses, true)
 	case dram.CmdRead, dram.CmdWrite:
@@ -1171,7 +1115,7 @@ func (c *Controller) issue(now uint64, opt Option) {
 			PendingSameRow:  same,
 			PendingOtherRow: other,
 		}
-		c.setPendingClose(bankIdx, c.page.ShouldClose(ctx))
+		c.pendingClose[bankIdx] = c.page.ShouldClose(ctx)
 	default:
 		panic(fmt.Sprintf("memctrl: cannot issue %v", opt.Cmd))
 	}
@@ -1181,14 +1125,14 @@ func (c *Controller) issue(now uint64, opt Option) {
 // dram.Channel.Issue returns. It is the controller's one path to Issue,
 // and so the one place that keeps the candidate groups' memos honest
 // (see groups.go and memo). A command to a bank can make a group's next
-// command earlier, so it first zeroes the earliest-issue bound of every
-// group in the command's bank, before a column access's removeRequest
-// can free one. A command to another bank can only raise a threshold of
-// its family, so it counts the family: ACTIVATEs per rank, column
-// commands per channel.
+// command earlier, so it first zeroes both earliest-issue bounds of
+// every group in the command's bank, before a column access's
+// removeRequest can free one. A command to another bank can only raise
+// a threshold of its family, so it counts the family: ACTIVATEs per
+// rank, column commands per channel.
 func (c *Controller) issueCmd(now uint64, cmd dram.Command) uint64 {
 	for _, h := range c.bankGroups[cmd.Loc.Rank*c.ch.Geo.Banks+cmd.Loc.Bank] {
-		c.grpBound[h] = 0
+		c.grpBound[0][h], c.grpBound[1][h] = 0, 0
 	}
 	switch cmd.Kind {
 	case dram.CmdActivate:
@@ -1285,7 +1229,7 @@ func (c *Controller) tryPendingClose(now uint64) (dram.Command, bool) {
 			}
 			b := c.ch.Bank(rank, bank)
 			if b.State != dram.BankActive {
-				c.setPendingClose(idx, false)
+				c.pendingClose[idx] = false
 				continue
 			}
 			loc := dram.Location{Channel: c.ch.ID, Rank: rank, Bank: bank, Row: b.OpenRow}
@@ -1297,7 +1241,7 @@ func (c *Controller) tryPendingClose(now uint64) (dram.Command, bool) {
 				PendingOtherRow: other,
 			}
 			if !c.page.ShouldClose(ctx) {
-				c.setPendingClose(idx, false)
+				c.pendingClose[idx] = false
 				continue
 			}
 			cmd := dram.Command{Kind: dram.CmdPrecharge, Loc: loc}
@@ -1309,7 +1253,7 @@ func (c *Controller) tryPendingClose(now uint64) (dram.Command, bool) {
 			if c.trace != nil {
 				c.trace.Command(now, cmd, -1)
 			}
-			c.setPendingClose(idx, false)
+			c.pendingClose[idx] = false
 			c.Stats.PolicyCloses++
 			c.page.OnRowClosed(loc, accesses, false)
 			return cmd, true

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"testing"
+	"unsafe"
 
 	"cloudmc/internal/dram"
 	"cloudmc/internal/pagepolicy"
@@ -335,32 +336,32 @@ func TestEarliestIssueBound(t *testing.T) {
 	ctl.Tick(0) // ACT
 	ctl.Tick(1) // the READ waits for tRCD
 	h := ctl.readOrder[0]
-	g := &ctl.grp[h]
+	g, rb := &ctl.grp[h], ctl.grpBound[0]
 	rd := ctl.ch.EarliestIssue(dram.Command{Kind: dram.CmdRead, Loc: l})
 	if rd <= 3 {
 		t.Fatalf("READ legal at %d; the test needs a tRCD shadow", rd)
 	}
 	exact := rd<<1 | 1
-	if ctl.grpBound[h] != exact || g.optKind != dram.CmdRead || g.stamp != ctl.colCmds {
+	if rb[h] != exact || g.optKind[0] != dram.CmdRead || g.stamp[0] != ctl.colCmds {
 		t.Fatalf("memo %#x %v stamp %d after the build, want %#x (READ at %d, row hit) stamp %d",
-			ctl.grpBound[h], g.optKind, g.stamp, exact, rd, ctl.colCmds)
+			rb[h], g.optKind[0], g.stamp[0], exact, rd, ctl.colCmds)
 	}
 
 	// A fresh memo is trusted, so each of these must be reported: a
 	// bound past the READ, a wrong flag, a cycle before the READ but
 	// past now, a cycle at or before now, and a wrong kind.
 	for _, bad := range []uint64{(rd+1)<<1 | 1, rd << 1, (rd-1)<<1 | 1, 1<<1 | 1} {
-		ctl.grpBound[h] = bad
+		rb[h] = bad
 		if err := ctl.VerifyCandidateGroups(2); err == nil {
 			t.Fatalf("bound %#x (READ at %d) not reported", bad, rd)
 		}
 	}
-	ctl.grpBound[h] = exact
-	g.optKind = dram.CmdWrite
+	rb[h] = exact
+	g.optKind[0] = dram.CmdWrite
 	if err := ctl.VerifyCandidateGroups(2); err == nil {
 		t.Fatal("memo naming a WRITE for a READ not reported")
 	}
-	g.optKind = dram.CmdRead
+	g.optKind[0] = dram.CmdRead
 	if err := ctl.VerifyCandidateGroups(2); err != nil {
 		t.Fatalf("exact memo reported: %v", err)
 	}
@@ -371,10 +372,10 @@ func TestEarliestIssueBound(t *testing.T) {
 	// the group on it, leaves it untouched and still counts its row hit.
 	ctl.colCmds++
 	loose := (rd-1)<<1 | 1
-	ctl.grpBound[h] = loose
+	rb[h] = loose
 	ctl.buildOptions(2, false)
-	if ctl.grpBound[h] != loose {
-		t.Fatalf("the build rewrote bound %#x to %#x; it lies past now", loose, ctl.grpBound[h])
+	if rb[h] != loose {
+		t.Fatalf("the build rewrote bound %#x to %#x; it lies past now", loose, rb[h])
 	}
 	if len(ctl.view.Options) != 0 || ctl.view.PendingRowHits != 1 {
 		t.Fatalf("build at 2: %d options, %d pending row hits; want 0 and 1", len(ctl.view.Options), ctl.view.PendingRowHits)
@@ -389,7 +390,73 @@ func TestEarliestIssueBound(t *testing.T) {
 	if len(ctl.view.Options) != 0 {
 		t.Fatalf("build at %d trusted a stale memo: %+v", rd-1, ctl.view.Options)
 	}
-	if ctl.grpBound[h] != exact || g.stamp != ctl.colCmds {
-		t.Fatalf("recompute stored %#x stamp %d, want %#x stamp %d", ctl.grpBound[h], g.stamp, exact, ctl.colCmds)
+	if rb[h] != exact || g.stamp[0] != ctl.colCmds {
+		t.Fatalf("recompute stored %#x stamp %d, want %#x stamp %d", rb[h], g.stamp[0], exact, ctl.colCmds)
+	}
+}
+
+// TestMemoSurvivesModeChange pins the per-kind memo rule: only a
+// command to a group's bank or a new group zeroes its memos, so a
+// read's memo survives a write drain that touches only another bank.
+// The read's READ waits out tRCD when the drain starts; through every
+// drain tick its read-kind bound word and stamp stay as they were, and
+// VerifyCandidateGroups still accepts them (the column commands of the
+// drain leave the word a lower bound).
+func TestMemoSurvivesModeChange(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.WriteHi, cfg.WriteLo = 4, 1
+	geo := dram.Geometry{Channels: 1, Ranks: 2, Banks: 4, Rows: 1 << 10, Columns: 32, BlockBytes: 64}
+	ctl, err := New(cfg, dram.NewChannel(0, geo, dram.DDR3_1600()), frPolicy{}, pagepolicy.NewOpen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := rloc(0, 0, 3, 0)
+	ctl.EnqueueRead(0, Source{Core: 1}, addrFor(l), l, ReadDemand, nil)
+	ctl.Tick(0) // ACT
+	ctl.Tick(1) // the READ waits for tRCD
+	h := ctl.readOrder[0]
+	g := &ctl.grp[h]
+	word, stamp := ctl.grpBound[0][h], g.stamp[0]
+	if word>>1 <= 2 || g.optKind[0] != dram.CmdRead {
+		t.Fatalf("read memo %#x %v after the build; want a READ past cycle 2", word, g.optKind[0])
+	}
+	for i := 0; i < cfg.WriteHi; i++ {
+		w := rloc(1, 2, 5, i)
+		ctl.EnqueueWrite(2, Source{Core: 1}, addrFor(w), w, nil)
+	}
+	drained := 0
+	for now := uint64(2); ; now++ {
+		if _, wq := ctl.QueueLens(); wq <= cfg.WriteLo {
+			break
+		}
+		if now > 500 {
+			t.Fatal("drain did not finish")
+		}
+		ctl.Tick(now)
+		if !ctl.writeMode {
+			t.Fatalf("cycle %d: not draining", now)
+		}
+		drained++
+		if ctl.grpBound[0][h] != word || g.stamp[0] != stamp || g.optKind[0] != dram.CmdRead {
+			t.Fatalf("cycle %d: read memo %#x %v stamp %d after a drain tick, want %#x READ stamp %d",
+				now, ctl.grpBound[0][h], g.optKind[0], g.stamp[0], word, stamp)
+		}
+		if err := ctl.VerifyCandidateGroups(now + 1); err != nil {
+			t.Fatalf("cycle %d: %v", now, err)
+		}
+	}
+	if ctl.colCmds == stamp || ctl.Stats.ReadsServed != 0 {
+		t.Fatalf("drain of %d ticks sent no column command or served the read (colCmds %d, reads %d)",
+			drained, ctl.colCmds, ctl.Stats.ReadsServed)
+	}
+}
+
+// TestGroupSize pins the candidate group at 88 bytes, where the
+// per-kind memo kinds fit in padding: every build loads groups from
+// the arena, so a larger group costs cache lines on every tick of a
+// deep-queue controller.
+func TestGroupSize(t *testing.T) {
+	if n := unsafe.Sizeof(group{}); n != 88 {
+		t.Fatalf("unsafe.Sizeof(group{}) = %d, want 88", n)
 	}
 }

@@ -32,33 +32,33 @@ import "cloudmc/internal/dram"
 // grows, so it is deleted at its old key and re-inserted at the new
 // one (two binary searches plus memmoves over int32 handles).
 //
-// Earliest-issue memos. A group's one memo of its next command is its
-// word in grpBound: the cycle that command becomes legal, shifted left
-// one bit, with a row-hit flag (the command is a column access) in the
-// low bit, or 0 when unknown. Beside it the group keeps the command's
-// kind and a stamp of that kind's cross-bank family (see memo). The
-// read- and write-mode builds skip a group whose bound lies past now
-// without loading the group, its representative or its bank, and count
-// its flag toward PendingRowHits; every other group asks memo and
-// stores the word of what it got, also on a hit.
+// Earliest-issue memos. A group keeps one memo per request kind: the
+// next command of its oldest read, and that of its oldest write. A
+// memo's cycle is the group's word in grpBound[w] (w = 0 for reads, 1
+// for writes): the cycle that command becomes legal, shifted left one
+// bit, with a row-hit flag (the command is a column access) in the low
+// bit, or 0 when unknown. Beside it the group keeps the command's kind
+// and a stamp of that kind's cross-bank family (see memo). A kind's
+// memo depends on the group's bank, its row and the kind alone, so it
+// does not depend on the queue mode: modeReads reads the read memos,
+// modeWrites the write memos, and modeBoth each group's
+// representative's. Every build skips a group whose bound lies past now
+// without calling dram, and counts its flag toward PendingRowHits;
+// every other group asks memo, which stores what it recomputes.
 //
 // A bound is exact when stored and stays a lower bound. A command to
 // another bank can only raise thresholds of its own family, and a
 // group's command kind depends only on its own bank's state. So only
-// three events can make a group's next command earlier, and each zeroes
-// its bound:
+// two events can make a group's next command earlier, and each zeroes
+// its bounds of both kinds:
 //   - a command to the group's bank: issueCmd, the controller's one
 //     path to dram.Channel.Issue, zeroes the bank's groups before the
 //     issue can free any of them;
-//   - a change of the build's queue mode, which flips the column kind
-//     between READ and WRITE: buildOptions zeroes every bound;
 //   - a new group: allocGroup zeroes the recycled or fresh handle.
 //
 // The park fold (idleHorizon) skips on the same bounds and asks memo
-// for every group it does consider. modeBoth (the mixed mode of
-// write-aware policies) keeps no bounds and no memo: a group's
-// representative there can change kind between ticks, so its build and
-// its park fold ask dram for every group.
+// for every group it does consider, over the order array of each kind
+// the parked mode considers.
 
 // noID is the "no request" sentinel for the per-bank oldest-ID index;
 // it compares greater than every real ID.
@@ -66,14 +66,19 @@ const noID = ^uint64(0)
 
 // group is one live candidate group: the queued requests targeting a
 // single (bankIdx, row), split by kind and held oldest-first, plus the
-// kind and stamp of its earliest-issue memo (see memo). The memo's
-// cycle lives outside the struct, in the dense Controller.grpBound, so
-// the skip test touches one word.
+// kinds and stamps of its two earliest-issue memos (see memo). The
+// memos' cycles live outside the struct, in the dense
+// Controller.grpBound, so the skip test touches one word.
 type group struct {
 	row    int
 	bank   int32 // bankIdx = rank*banks + bank
 	rankNo int32 // bank's rank — stored so the hot path never divides
 	bankNo int32 // bank number within the rank
+	// optKind[w] is the command behind a non-zero bound of kind w, and
+	// stamp[w] the count of that command's family when it was
+	// computed. optKind fills the padding after bankNo, so the struct
+	// stays at 88 bytes (TestGroupSize).
+	optKind [2]dram.CommandKind
 
 	// bankRef points at the group's dram bank. dram.Channel never
 	// reallocates its Ranks or Banks slices after construction, so the
@@ -87,15 +92,12 @@ type group struct {
 	//mclint:owns -- groupRemove pops the request from its group at issue/coalesce time, before its recycle; popGroupReq nils the vacated slot
 	writes []*Request
 
-	// optKind is the command behind a non-zero bound, and stamp the
-	// count of that command's family when it was computed.
-	optKind dram.CommandKind
-	stamp   uint32
+	stamp [2]uint32
 }
 
 // allocGroup takes a group entry from the free list (or grows the
-// arena and its bound array) and initializes it for r's (row, bank),
-// with its earliest-issue bound unknown. Request slices keep their
+// arena and its bound arrays) and initializes it for r's (row, bank),
+// with both earliest-issue bounds unknown. Request slices keep their
 // capacity across recycling, so a steady-state controller stops
 // allocating entirely; the first fold sizes the arena for its batch
 // (groupFold).
@@ -106,10 +108,11 @@ func (c *Controller) allocGroup(r *Request, bank int32) int32 {
 		c.grpFree = c.grpFree[:n-1]
 	} else {
 		c.grp = append(c.grp, group{})
-		c.grpBound = append(c.grpBound, 0)
+		c.grpBound[0] = append(c.grpBound[0], 0)
+		c.grpBound[1] = append(c.grpBound[1], 0)
 		h = int32(len(c.grp) - 1)
 	}
-	c.grpBound[h] = 0
+	c.grpBound[0][h], c.grpBound[1][h] = 0, 0
 	g := &c.grp[h]
 	g.row, g.bank = r.Loc.Row, bank
 	g.rankNo, g.bankNo = int32(r.Loc.Rank), int32(r.Loc.Bank)
@@ -138,8 +141,9 @@ func (c *Controller) groupFold() {
 	if cap(c.grp) == 0 && len(c.grpPending) > 0 {
 		// First fold: size the arena for the batch in one allocation
 		// instead of growing geometrically through it.
-		c.grp = make([]group, 0, len(c.grpPending))       //mclint:alloc-ok -- one-time arena sizing: cap(c.grp)==0 only before the first fold of a controller's life; the arena is reused (grpFree) forever after
-		c.grpBound = make([]uint64, 0, len(c.grpPending)) //mclint:alloc-ok -- sized with the arena, once per controller life
+		c.grp = make([]group, 0, len(c.grpPending))          //mclint:alloc-ok -- one-time arena sizing: cap(c.grp)==0 only before the first fold of a controller's life; the arena is reused (grpFree) forever after
+		c.grpBound[0] = make([]uint64, 0, len(c.grpPending)) //mclint:alloc-ok -- sized with the arena, once per controller life
+		c.grpBound[1] = make([]uint64, 0, len(c.grpPending)) //mclint:alloc-ok -- sized with the arena, once per controller life
 	}
 	for i, r := range c.grpPending {
 		c.groupEnqueue(r)
@@ -184,11 +188,9 @@ func (c *Controller) groupEnqueue(r *Request) {
 			c.bankMinRead[bk] = r.ID
 		}
 	}
-	// The memo needs no invalidation. A single-kind build's command for
-	// a group depends on its bank, its row and the mode's request kind,
-	// not on which request represents it; and a group that r brings
-	// into an order array has a zero bound, since only the builds and
-	// folds of that array's mode set one.
+	// The memos need no invalidation. A kind's memo depends on the
+	// group's bank, its row and the kind, not on which request
+	// represents it.
 }
 
 // groupRemove deletes r from its group, repairing the order arrays
@@ -333,41 +335,44 @@ func (c *Controller) rescanBankMin(bk int32) {
 	c.bankMinRead[bk], c.bankMinWrite[bk] = minR, minW
 }
 
-// repFor returns g's representative for a single-kind build: its
-// oldest write in modeWrites, else its oldest read.
-func (g *group) repFor(writes bool) *Request {
-	if writes {
+// rep returns g's oldest request of memo kind w: its oldest read for
+// w = 0, its oldest write for w = 1.
+func (g *group) rep(w int) *Request {
+	if w == 1 {
 		return g.writes[0]
 	}
 	return g.reads[0]
 }
 
-// memo returns g's next command kind and earliest-issue cycle for its
-// representative rep, given b, g's bound word. Every caller stores the
-// word of the memo it got (boundWord), so a non-zero b, g.optKind and
-// g.stamp describe one computation, and its cycle was exact then.
+// memo returns the next command kind and earliest-issue cycle of group
+// h's oldest request of kind w. A non-zero bound word, g.optKind[w] and
+// g.stamp[w] describe one computation, whose cycle was exact then.
 //
 // It is still exact while the command's family count is unchanged.
-// Since b was stored, no command went to g's bank and the queue mode
-// did not change, or b would be 0. A command to another bank moves no
-// threshold of g's command outside its family (dram.Channel): an
-// ACTIVATE moves its rank's tRRD/tFAW window, a READ or WRITE the data
-// bus, tWTR and the read-to-write turnaround. issueCmd counts both
-// families (rankActs, colCmds). A PRECHARGE depends on its bank alone,
-// so it has no family. The command bus needs no count: a memo is read
-// only before the controller issues in a cycle, when the bus term
-// (the last command's cycle + 1) never exceeds now. It can neither make
-// a command legal now nor move a cycle past now, so a memo's cycle
-// past now is exact, and one at or before now means legal now.
+// Since the word was stored, no command went to g's bank, or it would
+// be 0. A command to another bank moves no threshold of g's command
+// outside its family (dram.Channel): an ACTIVATE moves its rank's
+// tRRD/tFAW window, a READ or WRITE the data bus, tWTR and the
+// read-to-write turnaround. issueCmd counts both families (rankActs,
+// colCmds). A PRECHARGE depends on its bank alone, so it has no family.
+// The command bus needs no count: a memo is read only before the
+// controller issues in a cycle, when the bus term (the last command's
+// cycle + 1) never exceeds now. It can neither make a command legal now
+// nor move a cycle past now, so a memo's cycle past now is exact, and
+// one at or before now means legal now.
 //
-// Otherwise memo asks dram and restamps.
-func (c *Controller) memo(g *group, b uint64, rep *Request) (dram.CommandKind, uint64) {
-	if b != 0 && g.stamp == c.familyCount(g.optKind, g.rankNo) {
-		return g.optKind, b >> 1
+// Otherwise memo asks dram, restamps and stores the new word.
+func (c *Controller) memo(h int32, w int) (dram.CommandKind, uint64) {
+	g := &c.grp[h]
+	if b := c.grpBound[w][h]; b != 0 && g.stamp[w] == c.familyCount(g.optKind[w], g.rankNo) {
+		return g.optKind[w], b >> 1
 	}
+	rep := g.rep(w)
 	kind := nextKind(g.bankRef, rep)
-	g.optKind, g.stamp = kind, c.familyCount(kind, g.rankNo)
-	return kind, c.ch.EarliestIssue(dram.Command{Kind: kind, Loc: rep.Loc})
+	at := c.ch.EarliestIssue(dram.Command{Kind: kind, Loc: rep.Loc})
+	g.optKind[w], g.stamp[w] = kind, c.familyCount(kind, g.rankNo)
+	c.grpBound[w][h] = boundWord(kind, at)
+	return kind, at
 }
 
 // familyCount is the count of the cross-bank family of a command of
@@ -394,16 +399,15 @@ func boundWord(kind dram.CommandKind, at uint64) uint64 {
 	return b
 }
 
-// groupOption emits group g's candidate command, with rep as its
-// representative (the group's oldest considered request), into optBuf
-// when it is legal at now, and returns 1 when the candidate is a row
-// hit (legal or not — PendingRowHits counts both). modeBoth's build
-// calls it for every group; it keeps no memo and asks dram each time.
-func (c *Controller) groupOption(now uint64, g *group, rep *Request, oldest uint64) int {
-	kind := nextKind(g.bankRef, rep)
-	cmd := dram.Command{Kind: kind, Loc: rep.Loc}
-	if now >= c.ch.EarliestIssue(cmd) {
-		c.optBuf = append(c.optBuf, Option{Cmd: cmd, Req: rep, RowHit: kind >= dram.CmdRead, BankOldestID: oldest})
+// groupOption offers the memoized command of group h's oldest request
+// of kind w, rep, into optBuf when it is legal at now, and returns 1
+// when it is a row hit (legal or not — PendingRowHits counts both).
+// oldest is the BankOldestID the option carries. modeBoth's build
+// calls it for each group whose bound is at or before now.
+func (c *Controller) groupOption(now uint64, h int32, w int, rep *Request, oldest uint64) int {
+	kind, at := c.memo(h, w)
+	if now >= at {
+		c.optBuf = append(c.optBuf, Option{Cmd: dram.Command{Kind: kind, Loc: rep.Loc}, Req: rep, RowHit: kind >= dram.CmdRead, BankOldestID: oldest})
 	}
 	if kind >= dram.CmdRead {
 		return 1

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -26,21 +27,26 @@ import (
 //     state must match bit for bit.
 
 // refIdleHorizon re-derives the idle horizon the way the pre-cache
-// implementation did: one earliestFor per considered request, a full
-// rank×bank scan for surviving pending closes, the policy event, and
-// the now+1 clamp.
+// implementation did: one earliestFor per request the parked mode
+// considers, a full rank×bank scan for surviving pending closes, the
+// policy event, and the now+1 clamp. The queues are parkMode's, not the
+// current drain flag's: an enqueue may leave the controller parked in
+// the mode its next tick will use (noteEnqueue keeps parkMode equal to
+// projectedMode) while the flag itself still names the other one.
 func refIdleHorizon(c *Controller, now uint64) uint64 {
 	h := dram.Never
-	primary, secondary := c.consideredQueues(considersWrites(c.policy))
-	for _, r := range primary {
-		if at := c.earliestFor(r); at < h {
-			h = at
+	fold := func(q []*Request) {
+		for _, r := range q {
+			if at := c.earliestFor(r); at < h {
+				h = at
+			}
 		}
 	}
-	for _, r := range secondary {
-		if at := c.earliestFor(r); at < h {
-			h = at
-		}
+	if c.parkMode != modeWrites {
+		fold(c.readQ)
+	}
+	if c.parkMode != modeReads {
+		fold(c.writeQ)
 	}
 	for rank := 0; rank < c.ch.Geo.Ranks; rank++ {
 		for bank := 0; bank < c.ch.Geo.Banks; bank++ {
@@ -110,12 +116,12 @@ func (p *declinePolicy) Pick(v *View) int {
 	return p.frPolicy.Pick(v)
 }
 
-// horizonHarness replays one randomized request stream through a
-// fast-forward controller and a naive per-cycle twin, checking at
-// every cycle that the fast-forward horizon is exact and identical to
-// the reference computation, and at the end that both controllers
-// observed bit-identical statistics and device state.
-func horizonHarness(t *testing.T, seed int64, cycles uint64,
+// horizonHarness replays one randomized request stream over rows rows
+// per bank through a fast-forward controller and a naive per-cycle
+// twin, checking at every cycle that the fast-forward horizon is exact
+// and identical to the reference computation, and at the end that both
+// controllers observed bit-identical statistics and device state.
+func horizonHarness(t *testing.T, seed int64, cycles uint64, rows int,
 	mkPolicy func() Policy, mkPage func() pagepolicy.Policy) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -155,7 +161,7 @@ func horizonHarness(t *testing.T, seed int64, cycles uint64,
 					Channel: 0,
 					Rank:    rng.Intn(geo.Ranks),
 					Bank:    rng.Intn(geo.Banks),
-					Row:     rng.Intn(4), // few rows: conflicts and hits
+					Row:     rng.Intn(rows),
 					Column:  rng.Intn(geo.Columns),
 				}
 				addr := uint64(now)<<32 | uint64(rng.Intn(1<<16))<<6
@@ -230,9 +236,11 @@ func horizonHarness(t *testing.T, seed int64, cycles uint64,
 
 // TestHorizonExactnessRandomized sweeps the harness across policies
 // (plain FR-FCFS, a timed EventHorizon policy, an option-declining
-// policy, a write-aware mixed-mode policy) and every page policy,
-// including the stateful predictive ones whose ShouldClose schedule
-// the enqueue fast path must not perturb.
+// policy, a write-aware mixed-mode policy) and every page policy over
+// 4 rows per bank (conflicts and hits). The stateful predictive
+// policies, whose ShouldClose calls the enqueue fast path skips, run
+// again with 1–3 registers over 6–32 rows, so registers evict and
+// re-earn while closes are pending.
 func TestHorizonExactnessRandomized(t *testing.T) {
 	policies := map[string]func() Policy{
 		"frfcfs":  func() Policy { return frPolicy{} },
@@ -258,10 +266,31 @@ func TestHorizonExactnessRandomized(t *testing.T) {
 			seed++
 			s := seed
 			t.Run(pname+"/"+gname, func(t *testing.T) {
-				horizonHarness(t, s, cycles, mkPolicy, mkPage)
+				horizonHarness(t, s, cycles, 4, mkPolicy, mkPage)
 			})
 		}
 	}
+	for _, pname := range []string{"frfcfs", "timed", "decline", "mixed"} {
+		for _, gname := range []string{"rbpp", "abpp"} {
+			seed++
+			rng := rand.New(rand.NewSource(seed))
+			regs, rows := 1+rng.Intn(3), 6+rng.Intn(27)
+			mkPage := func() pagepolicy.Policy { return pagepolicy.NewRBPP(regs) }
+			if gname == "abpp" {
+				mkPage = func() pagepolicy.Policy { return pagepolicy.NewABPP(regs) }
+			}
+			s, mkPolicy := seed, policies[pname]
+			t.Run(fmt.Sprintf("%s/%s-%dregs-%drows", pname, gname, regs, rows), func(t *testing.T) {
+				horizonHarness(t, s, cycles, rows, mkPolicy, mkPage)
+			})
+		}
+	}
+	// At cycle 19340 this stream leaves the controller parked in
+	// modeWrites with its drain flag still off and a read just enqueued:
+	// the reference must fold the parked mode's queues, not the flag's.
+	t.Run("frfcfs/abpp-3regs-6rows-drain", func(t *testing.T) {
+		horizonHarness(t, 2034, 20_000, 6, policies["frfcfs"], func() pagepolicy.Policy { return pagepolicy.NewABPP(3) })
+	})
 }
 
 // TestEnqueueReArmsParkWithoutFullScan pins the tentpole behavior: a

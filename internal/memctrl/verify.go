@@ -123,8 +123,8 @@ func (c *Controller) VerifyParkHorizon(now uint64, maxScan uint64) error {
 // issue can report false mismatches. The check folds pending enqueues
 // and rebuilds c.view — state the next tick would recompute anyway —
 // but issues nothing and consults no policy. The memos (bounds, kinds
-// and stamps) and their mode are restored on return, so a verified run
-// carries the same memos from tick to tick as an unverified one.
+// and stamps) are restored on return, so a verified run carries the
+// same memos from tick to tick as an unverified one.
 func (c *Controller) VerifyCandidateGroups(now uint64) error {
 	c.groupFold()
 
@@ -285,29 +285,24 @@ func (c *Controller) VerifyCandidateGroups(now uint64) error {
 		}
 	}
 
-	// Earliest-issue memos, checked before the builds below recompute
-	// them, over the order array of the mode they were last computed
-	// under. No bound may exceed the cycle its group's next command
-	// becomes legal, and a set bound's row-hit flag and kind must name
-	// that command. A set bound whose family count is unchanged is a
-	// memo the next build trusts (see memo): a cycle past now must be
-	// exact, and one at or before now must still be legal now. A reset
-	// missed after a bank command, a mode change or a group's reuse, or
-	// a family count missed by issueCmd, shows here before it changes an
-	// option list or a park horizon. modeBoth keeps no bounds.
-	if len(c.grpBound) != len(c.grp) {
-		return fmt.Errorf("memctrl: groups: %d earliest-issue bounds for an arena of %d", len(c.grpBound), len(c.grp))
-	}
-	if c.boundMode != modeBoth {
-		writes := c.boundMode == modeWrites
-		order := c.readOrder
-		if writes {
-			order = c.writeOrder
+	// Earliest-issue memos of both kinds, checked before the builds
+	// below recompute them: each group's read memo over readOrder, its
+	// write memo over writeOrder, whatever the mode. No bound may exceed
+	// the cycle its request's next command becomes legal, and a set
+	// bound's row-hit flag and kind must name that command. A set bound
+	// whose family count is unchanged is a memo the next build trusts
+	// (see memo): a cycle past now must be exact, and one at or before
+	// now must still be legal now. A reset missed after a bank command
+	// or a group's reuse, or a family count missed by issueCmd, shows
+	// here before it changes an option list or a park horizon.
+	for w, order := range [2][]int32{c.readOrder, c.writeOrder} {
+		if len(c.grpBound[w]) != len(c.grp) {
+			return fmt.Errorf("memctrl: groups: %d earliest-issue bounds of kind %d for an arena of %d", len(c.grpBound[w]), w, len(c.grp))
 		}
 		for _, h := range order {
 			g := &c.grp[h]
-			cmd := c.commandFor(g.repFor(writes))
-			b, at := c.grpBound[h], c.ch.EarliestIssue(cmd)
+			cmd := c.commandFor(g.rep(w))
+			b, at := c.grpBound[w][h], c.ch.EarliestIssue(cmd)
 			if b>>1 > at {
 				return fmt.Errorf("memctrl: groups: handle %d (bank %d row %d) has earliest-issue bound %d past its %v's earliest issue %d",
 					h, g.bank, g.row, b>>1, cmd.Kind, at)
@@ -315,11 +310,11 @@ func (c *Controller) VerifyCandidateGroups(now uint64) error {
 			if b == 0 {
 				continue
 			}
-			if (b&1 == 1) != (cmd.Kind >= dram.CmdRead) || g.optKind != cmd.Kind {
+			if (b&1 == 1) != (cmd.Kind >= dram.CmdRead) || g.optKind[w] != cmd.Kind {
 				return fmt.Errorf("memctrl: groups: handle %d (bank %d row %d) has memo %v with row-hit flag %d but its next command is %v",
-					h, g.bank, g.row, g.optKind, b&1, cmd.Kind)
+					h, g.bank, g.row, g.optKind[w], b&1, cmd.Kind)
 			}
-			if g.stamp != c.familyCount(g.optKind, g.rankNo) {
+			if g.stamp[w] != c.familyCount(g.optKind[w], g.rankNo) {
 				continue // its family moved: a lower bound only
 			}
 			if m := b >> 1; (m > now && m != at) || (m <= now && at > now) {
@@ -328,15 +323,15 @@ func (c *Controller) VerifyCandidateGroups(now uint64) error {
 			}
 		}
 	}
-	savedBound := append([]uint64(nil), c.grpBound...)
+	savedBound := [2][]uint64{append([]uint64(nil), c.grpBound[0]...), append([]uint64(nil), c.grpBound[1]...)}
 	savedGrp := append([]group(nil), c.grp...)
-	defer func(mode uint8) {
-		copy(c.grpBound, savedBound)
+	defer func() {
+		copy(c.grpBound[0], savedBound[0])
+		copy(c.grpBound[1], savedBound[1])
 		for h := range savedGrp {
 			c.grp[h].optKind, c.grp[h].stamp = savedGrp[h].optKind, savedGrp[h].stamp
 		}
-		c.boundMode = mode
-	}(c.boundMode)
+	}()
 
 	// Behavioral pass: the incremental build must reproduce the
 	// reference rebuild bit for bit, in every queue-selection mode the

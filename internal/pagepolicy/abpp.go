@@ -57,6 +57,9 @@ func (p *ABPP) ShouldClose(ctx CloseContext) bool {
 	for i := range entries {
 		e := &entries[i]
 		if e.valid && e.row == ctx.Loc.Row {
+			// Stamp as most recently used. As in RBPP's lookup, a
+			// repeated call re-stamps the bank's first-ranked entry
+			// and changes no ranking (the Policy contract).
 			p.clock++
 			e.used = p.clock
 			// Close once the row has reached its predicted accesses.

@@ -3,10 +3,14 @@
 // open/close variants, and the predictive RBPP and ABPP policies.
 //
 // A page policy decides, after each column access, whether the open
-// row should be precharged proactively. The memory controller consults
-// the policy twice: once right after the column access and again when
-// the precharge actually becomes timing-legal (pending same-row
-// arrivals in between cancel the close).
+// row should be precharged proactively. The memory controller asks
+// right after the column access; a yes marks the close pending, and
+// the controller then asks again on every idle command cycle until the
+// precharge issues or an answer turns to no (under the adaptive and
+// predictive policies, a same-row arrival does that). Between two idle
+// cycles the bank's context usually has not changed, so most of these
+// calls repeat the previous one. The Policy contract makes a repeat
+// harmless, which lets a parked controller skip them.
 package pagepolicy
 
 import "cloudmc/internal/dram"
@@ -33,6 +37,15 @@ type Policy interface {
 	Name() string
 	// ShouldClose reports whether the open row described by ctx should
 	// be precharged proactively.
+	//
+	// Contract, for all six policies: a repeated call — one for a bank
+	// whose ctx is unchanged since the previous call for that bank,
+	// with no OnActivate or OnRowClosed on that bank in between —
+	// returns the previous call's answer and changes no later answer,
+	// whatever calls for other banks come between. ShouldClose may
+	// update policy state, as RBPP and ABPP do when they stamp the open
+	// row's register as most recently used, but a repeat must leave
+	// every later answer as it was.
 	ShouldClose(ctx CloseContext) bool
 	// OnActivate is called when a row is opened.
 	OnActivate(loc dram.Location)
@@ -42,19 +55,6 @@ type Policy interface {
 	// chosen by the policy.
 	OnRowClosed(loc dram.Location, accesses int, conflict bool)
 }
-
-// PureClose marks page policies whose ShouldClose is a pure function
-// of its CloseContext: the call neither reads mutable internal state
-// nor mutates any. The static and adaptive policies qualify; the
-// predictive RBPP/ABPP do not (their lookup touches predictor
-// LRU/clock state on every call). The memory controller uses the
-// marker to skip re-validating pending closes on cycles where their
-// context is provably unchanged — for a pure policy the skipped calls
-// are invisible, for a stateful one every call matters.
-type PureClose interface{ pureShouldClose() }
-
-// IsPure reports whether p's ShouldClose is pure (see PureClose).
-func IsPure(p Policy) bool { _, ok := p.(PureClose); return ok }
 
 // Open is the static open-page policy (OPM): rows stay open until a
 // conflicting request forces a precharge.
@@ -75,8 +75,6 @@ func (Open) OnActivate(dram.Location) {}
 // OnRowClosed implements Policy.
 func (Open) OnRowClosed(dram.Location, int, bool) {}
 
-func (Open) pureShouldClose() {}
-
 // Close is the static close-page policy (CPM): every row is precharged
 // immediately after its column access.
 type Close struct{}
@@ -95,8 +93,6 @@ func (Close) OnActivate(dram.Location) {}
 
 // OnRowClosed implements Policy.
 func (Close) OnRowClosed(dram.Location, int, bool) {}
-
-func (Close) pureShouldClose() {}
 
 // OpenAdaptive is the paper's baseline OAPM: close only when no queued
 // request would hit the open row AND some queued request needs a
@@ -120,8 +116,6 @@ func (OpenAdaptive) OnActivate(dram.Location) {}
 // OnRowClosed implements Policy.
 func (OpenAdaptive) OnRowClosed(dram.Location, int, bool) {}
 
-func (OpenAdaptive) pureShouldClose() {}
-
 // CloseAdaptive is CAPM: close as soon as no queued request would hit
 // the open row, whether or not other work is waiting.
 type CloseAdaptive struct{}
@@ -142,5 +136,3 @@ func (CloseAdaptive) OnActivate(dram.Location) {}
 
 // OnRowClosed implements Policy.
 func (CloseAdaptive) OnRowClosed(dram.Location, int, bool) {}
-
-func (CloseAdaptive) pureShouldClose() {}

@@ -1,6 +1,7 @@
 package pagepolicy
 
 import (
+	"math/rand"
 	"testing"
 
 	"cloudmc/internal/dram"
@@ -167,5 +168,92 @@ func TestPoliciesAreIndependentPerBank(t *testing.T) {
 	p.OnRowClosed(a, 4, false)
 	if _, tracked := p.lookup(b); tracked {
 		t.Fatal("register leaked across banks")
+	}
+}
+
+// TestShouldCloseRepeatContract checks the Policy.ShouldClose contract
+// on all six policies. Twin instances replay one random, legal per-bank
+// stream of OnActivate, ShouldClose and OnRowClosed calls; the second
+// twin adds 0–3 repeats after each ShouldClose, each one either of that
+// call or of the last call of another open bank. Every original call
+// must return the same answer on both twins, and every repeat the
+// answer of the call it repeats. One to three registers per bank over
+// up to a dozen rows make the predictive policies evict, so a repeat
+// that moved a register's LRU rank would change a later answer.
+func TestShouldCloseRepeatContract(t *testing.T) {
+	policies := []struct {
+		name string
+		mk   func(regs int) Policy
+	}{
+		{"Open", func(int) Policy { return NewOpen() }},
+		{"Close", func(int) Policy { return NewClose() }},
+		{"OpenAdaptive", func(int) Policy { return NewOpenAdaptive() }},
+		{"CloseAdaptive", func(int) Policy { return NewCloseAdaptive() }},
+		{"RBPP", func(regs int) Policy { return NewRBPP(regs) }},
+		{"ABPP", func(regs int) Policy { return NewABPP(regs) }},
+	}
+	banks := []dram.Location{
+		{Channel: 0, Rank: 0, Bank: 0}, {Channel: 0, Rank: 0, Bank: 1},
+		{Channel: 0, Rank: 1, Bank: 0}, {Channel: 1, Rank: 0, Bank: 0},
+	}
+	type bankState struct {
+		open     bool
+		loc      dram.Location // Row is the open row
+		accesses int
+		asked    bool         // ShouldClose was called this activation
+		last     CloseContext // the last call's context
+		answer   bool         // and its answer
+	}
+	for _, pol := range policies {
+		t.Run(pol.name, func(t *testing.T) {
+			for seed := int64(0); seed < 40; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				regs, rows := 1+rng.Intn(3), 2+rng.Intn(11)
+				orig, twin := pol.mk(regs), pol.mk(regs)
+				var st [4]bankState
+				for step := 0; step < 1500; step++ {
+					bi := rng.Intn(len(banks))
+					s := &st[bi]
+					switch {
+					case !s.open:
+						s.loc = banks[bi]
+						s.loc.Row = rng.Intn(rows)
+						s.open, s.accesses, s.asked = true, 0, false
+						orig.OnActivate(s.loc)
+						twin.OnActivate(s.loc)
+						continue
+					case rng.Intn(5) == 0:
+						conflict := rng.Intn(2) == 0
+						orig.OnRowClosed(s.loc, s.accesses, conflict)
+						twin.OnRowClosed(s.loc, s.accesses, conflict)
+						s.open = false
+						continue
+					}
+					// A column access, or a re-validation under new
+					// queue contents.
+					if s.accesses == 0 || rng.Intn(2) == 0 {
+						s.accesses++
+					}
+					ctx := CloseContext{Loc: s.loc, Accesses: s.accesses, PendingOtherRow: rng.Intn(3)}
+					if rng.Intn(3) == 0 {
+						ctx.PendingSameRow = 1 + rng.Intn(2)
+					}
+					want := orig.ShouldClose(ctx)
+					if got := twin.ShouldClose(ctx); got != want {
+						t.Fatalf("seed %d step %d: ShouldClose(%+v) = %v after repeats, %v without", seed, step, ctx, got, want)
+					}
+					s.asked, s.last, s.answer = true, ctx, want
+					for n := rng.Intn(4); n > 0; n-- {
+						r := &st[rng.Intn(len(st))]
+						if !r.open || !r.asked {
+							r = s
+						}
+						if got := twin.ShouldClose(r.last); got != r.answer {
+							t.Fatalf("seed %d step %d: repeated ShouldClose(%+v) = %v, first call %v", seed, step, r.last, got, r.answer)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -57,7 +57,11 @@ func (p *RBPP) entries(loc dram.Location) []marrEntry {
 }
 
 // lookup returns the predicted hit count for the row and whether the
-// row is tracked.
+// row is tracked, stamping its register as the bank's most recently
+// used. Registers are ranked only against their own bank's, and after
+// the first lookup of an activation the open row's register already
+// ranks first, so a repeated ShouldClose changes no ranking (the Policy
+// contract).
 func (p *RBPP) lookup(loc dram.Location) (int, bool) {
 	for i := range p.entries(loc) {
 		e := &p.entries(loc)[i]
