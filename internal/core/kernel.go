@@ -1,20 +1,15 @@
 package core
 
-import (
-	"fmt"
-
-	"cloudmc/internal/cpu"
-	"cloudmc/internal/engine"
-)
+import "cloudmc/internal/cpu"
 
 // This file is the event-kernel execution mode of the System, the
-// default (Config.FastForward): every timing source registers its next
-// wake-up and the hot loop only touches components that are due. The
-// produced Metrics are bit-identical to the naive per-cycle loop
-// (FastForward off); kernel_test.go and the fast-forward equivalence
-// suite enforce it.
+// default (Config.FastForward): each stepped cycle ticks only the
+// components that can act, and when none can, the loop jumps straight
+// to the earliest cycle one of them can. The produced Metrics are
+// bit-identical to the naive per-cycle loop (FastForward off);
+// kernel_test.go and the fast-forward equivalence suite enforce it.
 //
-// Two wake-up structures split the sources by shape:
+// Every source's next wake-up is read where it already lives:
 //
 //   - Cores live in coreWake, a dense per-core wake-time array: a core
 //     with coreWake <= now ticks this cycle, a finite future value is
@@ -23,21 +18,21 @@ import (
 //     system until a fill or store drain calls wakeCore. Waking
 //     settles the blocked window's stall statistics in bulk with
 //     cpu.Core.Advance, so counters stay bit-identical. The dense
-//     array costs one sequential compare per core per stepped cycle,
-//     which beats any queue discipline for sources that wake this
-//     often.
-//   - The fill path and the channel controllers — few sources with
-//     irregular, often-far horizons — are engine.Queue sources
-//     (calendar ring + indexed min-heap, deterministic (time, rank)
-//     pops). A controller parks at memctrl.Controller.NextEvent after
-//     an idle tick; an enqueue into a parked controller re-activates
-//     it (or re-arms it earlier, when a forwarded read merely
-//     schedules a completion).
+//     array costs one sequential compare per core per stepped cycle.
+//   - A channel controller is its own wake-up record:
+//     memctrl.Controller.NextEvent is its established event horizon
+//     or its next in-flight completion. A controller whose
+//     NextEvent(now) lies past now would return from Tick at once, so
+//     the step only folds that value into the jump bound; every other
+//     controller ticks. Enqueues happen earlier in the cycle (the
+//     fill, IO, writeback and core phases) and re-establish the
+//     horizon inside memctrl, so the value read here is current.
+//   - The fill path's wake-up is the fill queue's head, read after the
+//     controller phase, whose completions schedule fills.
 //
-// stepKernel maintains nextWake — the earliest future cycle any core,
-// active controller or retry queue can act — incrementally while it
-// runs the phases, so advanceKernel's jump decision is one compare
-// plus the queue's O(1) NextTime instead of a component rescan.
+// stepKernel rebuilds nextWake — the earliest future cycle any core,
+// controller, pending fill or retry queue can act — while it runs the
+// phases, so advanceKernel's jump decision is a single compare.
 // Writeback/DMA retry queues keep the system stepping while non-empty
 // (they retry every cycle, exactly like the per-cycle loop), and IO
 // agents negotiate jumps through Scan/Skip (negotiateIOJump), so their
@@ -46,10 +41,6 @@ import (
 // kernelState holds the event-kernel bookkeeping; embedded in System
 // and initialised only when the kernel mode is selected.
 type kernelState struct {
-	q       *engine.Queue
-	fillSrc engine.ID
-	ctrlSrc []engine.ID
-
 	// coreWake is the per-core wake time: <= now runnable, finite
 	// future = timed stall, Never = blocked until wakeCore. For a
 	// blocked core, coreIdleFrom records where its idle window began so
@@ -57,40 +48,24 @@ type kernelState struct {
 	coreWake     []uint64
 	coreIdleFrom []uint64
 
-	ctrlActive []bool
-
-	// nextWake is the earliest cycle at which any component outside
-	// the wake-up queue can act: stalled cores, active controllers,
-	// and non-empty retry queues. stepKernel rebuilds it every stepped
-	// cycle — it already visits exactly those components — so the jump
-	// decision in advanceKernel is a single compare. Queue-parked
-	// sources are covered by q.NextTime(), and IO agents by the Scan
-	// negotiation at jump time.
+	// nextWake is the earliest cycle at which any component can act:
+	// stalled cores, controllers, the fill-queue head, and non-empty
+	// retry queues. stepKernel rebuilds it every stepped cycle — it
+	// already visits exactly those components — so the jump decision in
+	// advanceKernel is a single compare. IO agents are covered by the
+	// Scan negotiation at jump time.
 	nextWake uint64
-
-	dueBuf []engine.ID
 }
 
 // kernelOn reports whether this System executes on the event kernel.
-func (s *System) kernelOn() bool { return s.q != nil }
+func (s *System) kernelOn() bool { return s.coreWake != nil }
 
-// initKernel registers the queue-backed timing sources in the fixed
-// rank order that fixes deterministic tie-breaking: fill path, then
-// channel controllers. Everything starts runnable; the first stepped
-// cycles park whatever is quiescent.
+// initKernel sizes the per-core wake-up arrays. Every core starts
+// runnable and nextWake starts at zero, so the first cycle steps and
+// parks whatever is quiescent.
 func (s *System) initKernel() {
-	s.q = engine.New()
-	s.fillSrc = s.q.Register("fill")
-	s.ctrlSrc = make([]engine.ID, len(s.ctrls))
-	for i := range s.ctrls {
-		s.ctrlSrc[i] = s.q.Register(fmt.Sprintf("mc%d", i))
-	}
 	s.coreWake = make([]uint64, len(s.cores))
 	s.coreIdleFrom = make([]uint64, len(s.cores))
-	s.ctrlActive = make([]bool, len(s.ctrls))
-	for i := range s.ctrlActive {
-		s.ctrlActive[i] = true
-	}
 }
 
 // wakeCore makes a blocked core runnable at cycle now, first applying
@@ -101,7 +76,7 @@ func (s *System) initKernel() {
 // timed stall changes nothing until the stall ends, exactly like the
 // per-cycle loop) or when the kernel is off.
 func (s *System) wakeCore(i int, now uint64) {
-	if s.q == nil || s.coreWake[i] != cpu.Never {
+	if !s.kernelOn() || s.coreWake[i] != cpu.Never {
 		return
 	}
 	s.cores[i].Advance(s.coreIdleFrom[i], now)
@@ -122,77 +97,18 @@ func (s *System) settleCores() {
 	}
 }
 
-// notifyCtrl re-evaluates a parked controller's horizon after the
-// System pushed work into it at cycle now. An enqueue whose command
-// cannot issue yet only lowers the controller's established horizon
-// to that request's earliest-issue cycle (memctrl.Controller.
-// noteEnqueue, an O(1) re-arm), so NextEvent usually stays in the
-// future and the controller remains parked — the queue source is
-// simply re-armed earlier instead of ticking this cycle. A
-// mode change (drain watermark, empty-read-queue transition) or a
-// pending page-policy close resets the horizon to "unknown" and
-// activates the controller as before; a forwarded read schedules a
-// completion (re-arm earlier); a coalesced write changes nothing (the
-// armed wake-up already covers it).
-func (s *System) notifyCtrl(ch int, now uint64) {
-	if s.q == nil || s.ctrlActive[ch] {
-		return
-	}
-	if w := s.ctrls[ch].NextEvent(now); w <= now {
-		s.ctrlActive[ch] = true
-		s.q.Disarm(s.ctrlSrc[ch])
-	} else {
-		s.q.Arm(s.ctrlSrc[ch], w)
-	}
-}
-
-// armFill keeps the fill source armed at the head of the fill queue.
-// A head already due is armed for the next cycle: deliveries happen at
-// the top of a stepped cycle, so a fill scheduled mid-cycle (by a
-// controller completion) lands exactly where the per-cycle loop would
-// have delivered it.
-func (s *System) armFill() {
-	if s.q == nil {
-		return
-	}
-	if len(s.fillq) == 0 {
-		s.q.Disarm(s.fillSrc)
-		return
-	}
-	t := s.fillq[0].at
-	if t <= s.q.Now() {
-		t = s.q.Now() + 1
-	}
-	s.q.Arm(s.fillSrc, t)
-}
-
 // stepKernel advances the system one cycle, touching only components
-// that are due: it wakes queue sources whose armed cycle arrived, then
-// runs the same phases in the same order as the per-cycle loop (fills,
-// IO injection, writeback drain, cores, controllers), skipping parked
-// components whose ticks would provably be no-ops. Along the way it
-// rebuilds nextWake for the caller's jump decision.
+// that can act: it runs the same phases in the same order as the
+// per-cycle loop (fills, IO injection, writeback drain, cores,
+// controllers), skipping components whose ticks would provably be
+// no-ops. Along the way it rebuilds nextWake for the caller's jump
+// decision.
+//
+//mclint:hotpath
 func (s *System) stepKernel() {
 	now := s.cycle
-	if s.q.Now() < now {
-		// One behind after a regular step (jumps re-sync eagerly); a
-		// single-cycle advance can never pass an armed wake-up.
-		s.q.Step()
-	}
-
-	if s.q.HasDue() {
-		s.dueBuf = s.q.PopDue(s.dueBuf[:0])
-		for _, id := range s.dueBuf {
-			if id == s.fillSrc {
-				continue // delivery handled below; re-armed by armFill
-			}
-			s.ctrlActive[int(id)-int(s.ctrlSrc[0])] = true
-		}
-	}
-
 	if len(s.fillq) > 0 && s.fillq[0].at <= now {
 		s.deliverFills(now)
-		s.armFill()
 	}
 	if len(s.ios) > 0 || len(s.ioq) > 0 {
 		s.tickIO(now)
@@ -225,22 +141,28 @@ func (s *System) stepKernel() {
 		}
 	}
 
-	for i, ctl := range s.ctrls {
-		if !s.ctrlActive[i] {
-			continue
+	for _, ctl := range s.ctrls {
+		// Past now, NextEvent is inside the controller's horizon with
+		// no completion due: its Tick would return at once.
+		w := ctl.NextEvent(now)
+		if w <= now {
+			ctl.Tick(now)
+			w = ctl.NextEvent(now + 1)
 		}
-		ctl.Tick(now)
-		if w := ctl.NextEvent(now + 1); w > now+1 {
-			s.ctrlActive[i] = false
-			s.q.Arm(s.ctrlSrc[i], w)
-		} else {
-			next = now + 1
+		if w < next {
+			next = w
 		}
 	}
 
-	// Retry queues poll every cycle while non-empty; a fill that became
-	// due mid-cycle (zero on-chip path latency) is delivered next cycle
-	// by the armed fill source, so it needs no entry here.
+	// A fill scheduled this cycle for this cycle (zero on-chip path
+	// latency) is delivered at the top of the next one, exactly where
+	// the per-cycle loop delivers it. Retry queues poll every cycle
+	// while non-empty.
+	if len(s.fillq) > 0 {
+		if t := max(s.fillq[0].at, now+1); t < next {
+			next = t
+		}
+	}
 	if len(s.wbq) > 0 || len(s.ioq) > 0 {
 		next = now + 1
 	}
@@ -249,28 +171,19 @@ func (s *System) stepKernel() {
 }
 
 // advanceKernel runs the event-kernel loop to cycle `end`: step while
-// anything is due, jump straight to the next wake-up — the earlier of
-// nextWake (cores, active controllers, retries) and the queue's
-// earliest armed source — when nothing needs the current cycle. Jumps
-// negotiate with the IO agents (Scan/Skip) so their per-cycle
-// injection draws replay exactly, and never pass a wake-up, which is
-// what makes every skipped cycle provably inert.
+// anything is due, and jump straight to nextWake (capped at end) when
+// nothing needs the current cycle. Jumps negotiate with the IO agents
+// (Scan/Skip) so their per-cycle injection draws replay exactly, and
+// never pass a wake-up, which is what makes every skipped cycle
+// provably inert.
+//
+//mclint:hotpath
 func (s *System) advanceKernel(end uint64) {
 	for s.cycle < end {
-		if s.nextWake > s.cycle {
-			h := s.nextWake
-			if t := s.q.NextTime(); t < h {
-				h = t
-			}
-			if h > end {
-				h = end
-			}
-			if h > s.cycle {
-				if n := s.negotiateIOJump(h - s.cycle); n > 0 {
-					s.cycle += n
-					s.q.AdvanceTo(s.cycle)
-					continue
-				}
+		if h := min(s.nextWake, end); h > s.cycle {
+			if n := s.negotiateIOJump(h - s.cycle); n > 0 {
+				s.cycle += n
+				continue
 			}
 		}
 		s.stepKernel()

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cloudmc/internal/cpu"
 	"cloudmc/internal/sched"
 	"cloudmc/internal/tenant"
 	"cloudmc/internal/workload"
@@ -88,8 +89,9 @@ var pagePolicies = [...]string{"Open", "Close", "OpenAdaptive", "CloseAdaptive",
 // TestKernelDifferential is the differential property test of the
 // event kernel: random workloads (random traces by construction — the
 // generators are seeded stochastic streams) under every page policy,
-// stepped through the engine queue, must produce identical event
-// orderings and Metrics to the naive per-cycle loop, the ground truth.
+// run through the kernel step and its jumps, must produce identical
+// event orderings and Metrics to the naive per-cycle loop, the ground
+// truth.
 func TestKernelDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paired simulations are slow")
@@ -190,13 +192,16 @@ func TestKernelChunkedAdvance(t *testing.T) {
 	}
 }
 
-// stepAndAudit single-steps a kernel-mode system and, every time a
-// controller's park horizon moves (a park, a re-park, or an O(1)
-// re-arm from an enqueue), replays the parked window cycle by cycle
-// against the raw DRAM legality rules: horizons must be exact — never
-// late (a legal command inside the window would desynchronize the
-// engines) and never early (a spurious wake would mask lateness bugs
-// by brute force).
+// stepAndAudit single-steps a kernel-mode system and audits two
+// things after every step. First, the jump bound: nextWake must equal
+// wakeBound's brute-force minimum over every source, so a jump can
+// never pass a wake-up (too late) or stop short of one (too early).
+// Second, every time a controller's park horizon moves (a park, a
+// re-park, or an O(1) re-arm from an enqueue), it replays the parked
+// window cycle by cycle against the raw DRAM legality rules: horizons
+// must be exact — never late (a legal command inside the window would
+// desynchronize the loop modes) and never early (a spurious wake would
+// mask lateness bugs by brute force).
 func stepAndAudit(t *testing.T, cfg Config, cycles uint64, label string) {
 	t.Helper()
 	sys, err := NewSystem(cfg)
@@ -212,6 +217,9 @@ func stepAndAudit(t *testing.T, cfg Config, cycles uint64, label string) {
 	for i := uint64(0); i < cycles; i++ {
 		sys.Step()
 		now := sys.cycle - 1
+		if got, want := sys.nextWake, wakeBound(sys); got != want {
+			t.Fatalf("%s: after cycle %d nextWake is %d, brute-force wake-up bound is %d", label, now, got, want)
+		}
 		for ci, ctl := range sys.ctrls {
 			w := ctl.ParkHorizon()
 			if w == last[ci] {
@@ -227,6 +235,30 @@ func stepAndAudit(t *testing.T, cfg Config, cycles uint64, label string) {
 	if audits == 0 {
 		t.Fatalf("%s: no park horizons were ever established — audit exercised nothing", label)
 	}
+}
+
+// wakeBound recomputes the kernel's jump bound by brute force: the
+// earliest cycle, at or after the clock, at which a core that is not
+// blocked, a controller, the fill-queue head or a non-empty retry
+// queue can act.
+func wakeBound(s *System) uint64 {
+	now := s.cycle
+	h := uint64(cpu.Never)
+	for _, w := range s.coreWake {
+		if w != cpu.Never {
+			h = min(h, max(w, now))
+		}
+	}
+	for _, ctl := range s.ctrls {
+		h = min(h, ctl.NextEvent(now))
+	}
+	if len(s.fillq) > 0 {
+		h = min(h, max(s.fillq[0].at, now))
+	}
+	if len(s.wbq) > 0 || len(s.ioq) > 0 {
+		h = now
+	}
+	return h
 }
 
 // TestParkHorizonExactness is the system-level property test of the

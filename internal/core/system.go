@@ -400,7 +400,6 @@ func (s *System) miss(now uint64, core int, addr uint64, store bool) cpu.AccessR
 		s.freeMSHR = append(s.freeMSHR, e)
 		return cpu.AccessResult{Rejected: true}
 	}
-	s.notifyCtrl(loc.Channel, now)
 	s.mshr.put(e)
 	s.demandMisses++
 	s.tenantMisses[ten]++
@@ -409,10 +408,10 @@ func (s *System) miss(now uint64, core int, addr uint64, store bool) cpu.AccessR
 
 // scheduleFill queues a completed read for delivery at cycle `at`
 // (insertion sort, stable in arrival order for equal cycles; the queue
-// is bounded by the MSHR capacity) and keeps the kernel's fill source
-// armed at the new head. Controllers fire it (through the OnDone
-// closure) from inside Controller.Tick, in ascending channel order, so
-// the queue order is the same in every loop mode.
+// is bounded by the MSHR capacity). Controllers fire it (through the
+// OnDone closure) from inside Controller.Tick, in ascending channel
+// order, so the queue order is the same in every loop mode; the
+// kernel step reads the new head after the controller phase.
 func (s *System) scheduleFill(at uint64, e *mshrEntry) {
 	i := len(s.fillq)
 	s.fillq = append(s.fillq, delayedFill{})
@@ -421,7 +420,6 @@ func (s *System) scheduleFill(at uint64, e *mshrEntry) {
 		i--
 	}
 	s.fillq[i] = delayedFill{at: at, e: e}
-	s.armFill()
 }
 
 // deliverFills applies all fills due by `now`.
@@ -521,7 +519,6 @@ func (s *System) drainWritebacks(now uint64) {
 		if !s.ctrls[loc.Channel].EnqueueWrite(now, memctrl.Source{Core: wb.core, Tenant: wb.tenant}, wb.addr, loc, nil) {
 			break
 		}
-		s.notifyCtrl(loc.Channel, now)
 	}
 	s.wbq = dropFront(s.wbq, n)
 }
@@ -549,7 +546,6 @@ func (s *System) tickIO(now uint64) {
 		if !ok {
 			break
 		}
-		s.notifyCtrl(loc.Channel, now)
 	}
 	s.ioq = dropFront(s.ioq, n)
 }

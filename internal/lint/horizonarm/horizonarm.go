@@ -1,28 +1,23 @@
-// Package horizonarm guards the event-kernel arming contract of
-// cloudmc/internal/core and cloudmc/internal/memctrl: any exported
-// entry point that can move a controller's NextEvent/EarliestIssue
-// horizon earlier must re-arm the kernel wake-up queue somewhere in
-// its (intra-package, transitive) call path — otherwise a parked
-// source sleeps through work that just became due and the kernel
-// diverges from the naive per-cycle loop.
+// Package horizonarm guards the event-horizon contract of
+// cloudmc/internal/memctrl: any exported entry point that grows a
+// request queue must re-establish the controller's event horizon
+// somewhere in its (intra-package, transitive) call path. The kernel
+// step in cloudmc/internal/core ticks a controller only when
+// Controller.NextEvent says it can act, so a stale horizon makes a
+// parked controller sleep through work that just became due and the
+// kernel diverges from the naive per-cycle loop.
 //
-// The obligations are keyed to the mutations that can create earlier
-// work, and the arming primitives that discharge them:
-//
-//	internal/core:    a call to Controller.EnqueueRead/EnqueueWrite
-//	                  requires notifyCtrl in the call path; an insert
-//	                  into the fill queue (s.fillq) requires armFill.
-//	internal/memctrl: a mutation of the request queues (readQ/writeQ)
-//	                  requires noteEnqueue or a wakeAt write (resetting
-//	                  the horizon to "unknown" forces a full tick).
+// The obligation is a mutation of the request queues (readQ/writeQ);
+// it is discharged by a call to noteEnqueue or a wakeAt write
+// (resetting the horizon to "unknown" forces a full tick).
 //
 // The analysis is a reachability closure over the package's static
 // call graph (function literals count as part of their enclosing
 // declaration, via the shared callgraph substrate), checked per
-// exported function: an entry point whose closure contains an
-// obligation but none of its arming primitives is flagged. Unexported
-// helpers are deliberately exempt — stepKernel pops the fill queue
-// and re-arms in its caller — because the contract binds the
+// exported function: an entry point whose closure contains the
+// obligation but neither discharge is flagged. Unexported helpers are
+// deliberately exempt — the exported caller that reaches them
+// discharges the obligation — because the contract binds the
 // boundaries other packages can call into.
 package horizonarm
 
@@ -33,12 +28,11 @@ import (
 	"cloudmc/internal/lint/callgraph"
 )
 
-// Analyzer is the horizonarm wake-up arming check.
+// Analyzer is the horizonarm event-horizon check.
 var Analyzer = &analysis.Analyzer{
 	Name: "horizonarm",
-	Doc: "requires exported entry points of cloudmc/internal/core and cloudmc/internal/memctrl " +
-		"that can move a controller horizon earlier to re-arm the kernel wake-up queue " +
-		"(notifyCtrl/armFill/noteEnqueue in the call path)",
+	Doc: "requires exported entry points of cloudmc/internal/memctrl that grow a request queue " +
+		"to re-establish the controller's event horizon (noteEnqueue or a wakeAt write in the call path)",
 	Run: run,
 }
 
@@ -46,20 +40,13 @@ var Analyzer = &analysis.Analyzer{
 // Callee resolution and the reachability walk live in the shared
 // callgraph substrate; only the domain facts are collected here.
 type funcFacts struct {
-	callsEnqueue  bool // call to a method named EnqueueRead/EnqueueWrite
-	mutatesFillq  bool // assignment through a selector named fillq
-	callsNotify   bool // call to notifyCtrl
-	callsArmFill  bool // call to armFill
 	mutatesQueues bool // assignment through a selector named readQ/writeQ
 	callsNote     bool // call to noteEnqueue
 	setsWakeAt    bool // assignment through a selector named wakeAt
 }
 
 func run(pass *analysis.Pass) error {
-	path := pass.EffectivePath()
-	isCore := path == "cloudmc/internal/core"
-	isMemctrl := path == "cloudmc/internal/memctrl"
-	if !isCore && !isMemctrl {
+	if pass.EffectivePath() != "cloudmc/internal/memctrl" {
 		return nil
 	}
 
@@ -77,60 +64,36 @@ func run(pass *analysis.Pass) error {
 		if pass.Suppressed(n.Decl, "allow horizonarm") {
 			continue
 		}
-		// The arming contract is intra-package: a callee in another
-		// package contributes nothing, exactly as before the shared
-		// graph (its own package's obligations are its own pass's).
+		// The contract is intra-package: a callee in another package
+		// contributes nothing (its own package's obligations are its
+		// own pass's).
 		var cl funcFacts
 		g.Closure(n, func(m *callgraph.Node) bool {
 			ff, ok := facts[m]
 			if !ok {
 				return false
 			}
-			cl.callsEnqueue = cl.callsEnqueue || ff.callsEnqueue
-			cl.mutatesFillq = cl.mutatesFillq || ff.mutatesFillq
-			cl.callsNotify = cl.callsNotify || ff.callsNotify
-			cl.callsArmFill = cl.callsArmFill || ff.callsArmFill
 			cl.mutatesQueues = cl.mutatesQueues || ff.mutatesQueues
 			cl.callsNote = cl.callsNote || ff.callsNote
 			cl.setsWakeAt = cl.setsWakeAt || ff.setsWakeAt
 			return true
 		})
-		if isCore {
-			if cl.callsEnqueue && !cl.callsNotify {
-				pass.Reportf(n.Decl.Name.Pos(), "exported entry point %s reaches Controller.EnqueueRead/EnqueueWrite "+
-					"but never re-arms the kernel wake-up queue (notifyCtrl missing from its call path)", n.Name())
-			}
-			if cl.mutatesFillq && !cl.callsArmFill {
-				pass.Reportf(n.Decl.Name.Pos(), "exported entry point %s mutates the fill queue "+
-					"but never re-arms the fill source (armFill missing from its call path)", n.Name())
-			}
-		}
-		if isMemctrl {
-			if cl.mutatesQueues && !(cl.callsNote || cl.setsWakeAt) {
-				pass.Reportf(n.Decl.Name.Pos(), "exported entry point %s mutates the request queues "+
-					"but never re-establishes the event horizon (neither noteEnqueue nor a wakeAt write "+
-					"in its call path)", n.Name())
-			}
+		if cl.mutatesQueues && !(cl.callsNote || cl.setsWakeAt) {
+			pass.Reportf(n.Decl.Name.Pos(), "exported entry point %s mutates the request queues "+
+				"but never re-establishes the event horizon (neither noteEnqueue nor a wakeAt write "+
+				"in its call path)", n.Name())
 		}
 	}
 	return nil
 }
 
-// collect records one node's direct facts: arming/obligation calls
-// from the graph's call sites (matched by name, so cross-package
-// calls like core's ctrl.EnqueueRead count), mutations from a body
+// collect records one node's direct facts: noteEnqueue calls from
+// the graph's call sites (matched by name), mutations from a body
 // walk.
 func collect(n *callgraph.Node) *funcFacts {
 	ff := &funcFacts{}
 	for _, c := range n.Calls {
-		switch c.Name {
-		case "EnqueueRead", "EnqueueWrite":
-			ff.callsEnqueue = true
-		case "notifyCtrl":
-			ff.callsNotify = true
-		case "armFill":
-			ff.callsArmFill = true
-		case "noteEnqueue":
+		if c.Name == "noteEnqueue" {
 			ff.callsNote = true
 		}
 	}
@@ -170,8 +133,6 @@ func noteTarget(ff *funcFacts, expr ast.Expr) {
 		return
 	}
 	switch sel.Sel.Name {
-	case "fillq":
-		ff.mutatesFillq = true
 	case "readQ", "writeQ":
 		ff.mutatesQueues = true
 	case "wakeAt":

@@ -7,10 +7,6 @@ import (
 	"cloudmc/internal/lint/horizonarm"
 )
 
-func TestCoreRules(t *testing.T) {
-	analysistest.Run(t, analysistest.Fixture("core"), horizonarm.Analyzer)
-}
-
 func TestMemctrlRules(t *testing.T) {
 	analysistest.Run(t, analysistest.Fixture("memctrl"), horizonarm.Analyzer)
 }

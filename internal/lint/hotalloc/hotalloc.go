@@ -1,12 +1,12 @@
 // Package hotalloc guards the hot-path allocation-freedom contract:
 // functions annotated //mclint:hotpath — the per-tick spines of
-// cloudmc/internal/memctrl, internal/core and internal/engine whose
-// 0 allocs/op steady state the bench gate pins — and everything they
-// reach through the module-wide static call graph must not allocate.
-// The shared callgraph substrate supplies the cross-package closure;
-// interface method calls and function-typed values are closure
-// boundaries (the policy/trace/sink implementations behind them are
-// governed by their own contracts).
+// cloudmc/internal/memctrl and internal/core (the kernel step among
+// them) whose 0 allocs/op steady state the bench gate pins — and
+// everything they reach through the module-wide static call graph
+// must not allocate. The shared callgraph substrate supplies the
+// cross-package closure; interface method calls and function-typed
+// values are closure boundaries (the policy/trace/sink
+// implementations behind them are governed by their own contracts).
 //
 // Flagged allocation sources:
 //

@@ -1,11 +1,11 @@
 // Package lint assembles the mclint determinism-invariant analyzer
 // suite of six analyzers: maprange (no map-iteration order leaks),
-// nodeterm (no ambient nondeterminism sources), horizonarm
-// (horizon-moving entry points re-arm the kernel wake-up queue),
-// groupsync (memctrl queue-membership mutations update the incremental
-// candidate-group index), freelive (no pointer to a free-listed object
-// survives its recycle point), hotalloc (//mclint:hotpath closures
-// stay allocation-free). The
+// nodeterm (no ambient nondeterminism sources), horizonarm (memctrl
+// entry points that grow a request queue re-establish the
+// controller's event horizon), groupsync (memctrl queue-membership
+// mutations update the incremental candidate-group index), freelive
+// (no pointer to a free-listed object survives its recycle point),
+// hotalloc (//mclint:hotpath closures stay allocation-free). The
 // interprocedural analyzers share one module-wide call graph
 // (internal/lint/callgraph), built once per run. cmd/mclint drives
 // the suite over package patterns; selfcheck_test.go keeps the module

@@ -28,6 +28,7 @@ import (
 func groupsHarness(t *testing.T, seed int64, cycles uint64, checkEvery uint64,
 	mkPolicy func() memctrl.Policy, mkPage func() pagepolicy.Policy) {
 	t.Helper()
+	t.Logf("seed %d", seed)
 	rng := rand.New(rand.NewSource(seed))
 	geo := dram.Geometry{
 		Channels: 1,
@@ -89,23 +90,28 @@ func groupsHarness(t *testing.T, seed int64, cycles uint64, checkEvery uint64,
 // policy, including the stateful predictive ones whose row
 // transitions the index must track.
 func groupsMatrix(t *testing.T, cycles, checkEvery uint64) {
-	pages := map[string]func() pagepolicy.Policy{
-		"open":          func() pagepolicy.Policy { return pagepolicy.NewOpen() },
-		"close":         func() pagepolicy.Policy { return pagepolicy.NewClose() },
-		"openadaptive":  func() pagepolicy.Policy { return pagepolicy.NewOpenAdaptive() },
-		"closeadaptive": func() pagepolicy.Policy { return pagepolicy.NewCloseAdaptive() },
-		"rbpp":          func() pagepolicy.Policy { return pagepolicy.NewRBPP(4) },
-		"abpp":          func() pagepolicy.Policy { return pagepolicy.NewABPP(4) },
+	// A declared-order slice, not a map: each subtest name must draw
+	// the same seed on every run so a failure can be rerun by name.
+	pages := []struct {
+		name string
+		mk   func() pagepolicy.Policy
+	}{
+		{"open", func() pagepolicy.Policy { return pagepolicy.NewOpen() }},
+		{"close", func() pagepolicy.Policy { return pagepolicy.NewClose() }},
+		{"openadaptive", func() pagepolicy.Policy { return pagepolicy.NewOpenAdaptive() }},
+		{"closeadaptive", func() pagepolicy.Policy { return pagepolicy.NewCloseAdaptive() }},
+		{"rbpp", func() pagepolicy.Policy { return pagepolicy.NewRBPP(4) }},
+		{"abpp", func() pagepolicy.Policy { return pagepolicy.NewABPP(4) }},
 	}
 	seed := int64(137)
 	for _, kind := range sched.Kinds {
 		factory := sched.NewFactoryOpts(kind, sched.Opts{Cores: 4, Seed: 99})
-		for gname, mkPage := range pages {
+		for _, pg := range pages {
 			seed++
 			s := seed
-			t.Run(kind.String()+"/"+gname, func(t *testing.T) {
+			t.Run(kind.String()+"/"+pg.name, func(t *testing.T) {
 				groupsHarness(t, s, cycles, checkEvery,
-					func() memctrl.Policy { return factory(0) }, mkPage)
+					func() memctrl.Policy { return factory(0) }, pg.mk)
 			})
 		}
 	}

@@ -124,6 +124,7 @@ func (p *declinePolicy) Pick(v *View) int {
 func horizonHarness(t *testing.T, seed int64, cycles uint64, rows int,
 	mkPolicy func() Policy, mkPage func() pagepolicy.Policy) {
 	t.Helper()
+	t.Logf("seed %d", seed)
 	rng := rand.New(rand.NewSource(seed))
 	geo := dram.Geometry{
 		Channels: 1,
@@ -242,35 +243,43 @@ func horizonHarness(t *testing.T, seed int64, cycles uint64, rows int,
 // again with 1–3 registers over 6–32 rows, so registers evict and
 // re-earn while closes are pending.
 func TestHorizonExactnessRandomized(t *testing.T) {
-	policies := map[string]func() Policy{
-		"frfcfs":  func() Policy { return frPolicy{} },
-		"timed":   func() Policy { return &timedPolicy{quantum: 700} },
-		"decline": func() Policy { return &declinePolicy{} },
-		"mixed":   func() Policy { return mixedPolicy{} },
+	// Declared-order slices, not maps: each subtest name must draw the
+	// same seed on every run so a failure can be rerun by name.
+	policies := []struct {
+		name string
+		mk   func() Policy
+	}{
+		{"frfcfs", func() Policy { return frPolicy{} }},
+		{"timed", func() Policy { return &timedPolicy{quantum: 700} }},
+		{"decline", func() Policy { return &declinePolicy{} }},
+		{"mixed", func() Policy { return mixedPolicy{} }},
 	}
-	pages := map[string]func() pagepolicy.Policy{
-		"open":          func() pagepolicy.Policy { return pagepolicy.NewOpen() },
-		"close":         func() pagepolicy.Policy { return pagepolicy.NewClose() },
-		"openadaptive":  func() pagepolicy.Policy { return pagepolicy.NewOpenAdaptive() },
-		"closeadaptive": func() pagepolicy.Policy { return pagepolicy.NewCloseAdaptive() },
-		"rbpp":          func() pagepolicy.Policy { return pagepolicy.NewRBPP(4) },
-		"abpp":          func() pagepolicy.Policy { return pagepolicy.NewABPP(4) },
+	pages := []struct {
+		name string
+		mk   func() pagepolicy.Policy
+	}{
+		{"open", func() pagepolicy.Policy { return pagepolicy.NewOpen() }},
+		{"close", func() pagepolicy.Policy { return pagepolicy.NewClose() }},
+		{"openadaptive", func() pagepolicy.Policy { return pagepolicy.NewOpenAdaptive() }},
+		{"closeadaptive", func() pagepolicy.Policy { return pagepolicy.NewCloseAdaptive() }},
+		{"rbpp", func() pagepolicy.Policy { return pagepolicy.NewRBPP(4) }},
+		{"abpp", func() pagepolicy.Policy { return pagepolicy.NewABPP(4) }},
 	}
 	cycles := uint64(12_000)
 	if testing.Short() {
 		cycles = 3_000
 	}
 	seed := int64(42)
-	for pname, mkPolicy := range policies {
-		for gname, mkPage := range pages {
+	for _, pol := range policies {
+		for _, pg := range pages {
 			seed++
 			s := seed
-			t.Run(pname+"/"+gname, func(t *testing.T) {
-				horizonHarness(t, s, cycles, 4, mkPolicy, mkPage)
+			t.Run(pol.name+"/"+pg.name, func(t *testing.T) {
+				horizonHarness(t, s, cycles, 4, pol.mk, pg.mk)
 			})
 		}
 	}
-	for _, pname := range []string{"frfcfs", "timed", "decline", "mixed"} {
+	for _, pol := range policies {
 		for _, gname := range []string{"rbpp", "abpp"} {
 			seed++
 			rng := rand.New(rand.NewSource(seed))
@@ -279,9 +288,9 @@ func TestHorizonExactnessRandomized(t *testing.T) {
 			if gname == "abpp" {
 				mkPage = func() pagepolicy.Policy { return pagepolicy.NewABPP(regs) }
 			}
-			s, mkPolicy := seed, policies[pname]
-			t.Run(fmt.Sprintf("%s/%s-%dregs-%drows", pname, gname, regs, rows), func(t *testing.T) {
-				horizonHarness(t, s, cycles, rows, mkPolicy, mkPage)
+			s := seed
+			t.Run(fmt.Sprintf("%s/%s-%dregs-%drows", pol.name, gname, regs, rows), func(t *testing.T) {
+				horizonHarness(t, s, cycles, rows, pol.mk, mkPage)
 			})
 		}
 	}
@@ -289,7 +298,7 @@ func TestHorizonExactnessRandomized(t *testing.T) {
 	// modeWrites with its drain flag still off and a read just enqueued:
 	// the reference must fold the parked mode's queues, not the flag's.
 	t.Run("frfcfs/abpp-3regs-6rows-drain", func(t *testing.T) {
-		horizonHarness(t, 2034, 20_000, 6, policies["frfcfs"], func() pagepolicy.Policy { return pagepolicy.NewABPP(3) })
+		horizonHarness(t, 2034, 20_000, 6, policies[0].mk, func() pagepolicy.Policy { return pagepolicy.NewABPP(3) })
 	})
 }
 
