@@ -1,8 +1,8 @@
 // Package cloudmc_test hosts the benchmark harness: one benchmark per
 // table and figure in the paper's evaluation (§4), plus ablation
-// benches for the design choices called out in DESIGN.md. Each
-// BenchmarkFigureNN regenerates its artifact at a reduced scale; the
-// full-scale numbers in EXPERIMENTS.md come from cmd/mcfigures.
+// benches for the simulator's modeling choices. Each BenchmarkFigureNN
+// regenerates its artifact at a reduced scale; cmd/mcfigures produces
+// the full-scale figures.
 //
 // Run a single figure with e.g.:
 //
@@ -150,7 +150,7 @@ func BenchmarkTable04AddressMapping(b *testing.B) {
 	benchTable(b, func(s *experiment.Study) *experiment.Table { return s.Table4() })
 }
 
-// --- Ablation benches (DESIGN.md §7) ------------------------------
+// --- Ablation benches: the modeling choices behind the figures ----
 
 // metricsSink keeps ablation results alive.
 var metricsSink core.Metrics
@@ -228,8 +228,9 @@ func BenchmarkAblationBatchCap(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationATLASScanDepth sweeps the ATLAS scan window, the
-// modeling choice documented in DESIGN.md/EXPERIMENTS.md.
+// BenchmarkAblationATLASScanDepth sweeps the ATLAS scan window, one of
+// the ATLAS settings the study compresses to its short measurement
+// windows (experiment.Study.applyStudyConfig).
 func BenchmarkAblationATLASScanDepth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, depth := range []int{1, 2, 8} {
@@ -374,7 +375,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 // benchmarks: a controller parked mid-write-drain (the next precharge
 // is in the tWR shadow, a ~20-cycle window with a known future
 // horizon) receives a burst of read enqueues, the kernel's
-// enqueue-notify pattern applied after each one. Each enqueue must
+// enqueue-notify pattern applied after each one. Each enqueue files its
+// request into its candidate group, at O(groups in its bank), and must
 // re-arm the park in O(1) (noteEnqueue) rather than reset the horizon
 // to "unknown" and force a full tick. Each timed op is one enqueue
 // plus whatever tick the controller then demands.
@@ -470,9 +472,11 @@ func BenchmarkControllerParkReArm(b *testing.B) {
 // queue of 224 filled to WriteHi and held above WriteLo, so every tick
 // builds in write mode. rl-q48 runs the RL scheduler, which sees reads
 // and writes together, over a standing 24 reads and 24 writes, so
-// every tick builds in the mixed mode. allocs/op is reported: the
-// steady-state busy path, scheduler included, is expected to run
-// allocation-free.
+// every tick builds in the mixed mode. fcfs-q48 runs FCFS_Banks over
+// q48's standing 48 reads, so every pick checks its options' requests
+// against the read queue for an older request to the same bank.
+// allocs/op is reported: the steady-state busy path, scheduler
+// included, is expected to run allocation-free.
 func BenchmarkBuildOptions(b *testing.B) {
 	geo := dram.Geometry{Channels: 1, Ranks: 4, Banks: 8, Rows: 1 << 14, Columns: 64, BlockBytes: 64}
 	atlas := sched.DefaultATLASConfig()
@@ -493,6 +497,7 @@ func BenchmarkBuildOptions(b *testing.B) {
 		{"qos-q48", 48, sched.QoS, sched.Opts{Cores: 16, Tenants: 4, QoS: qos}, true, 0},
 		{"drain-q224", 224, sched.FRFCFS, sched.Opts{Cores: 16}, false, 224},
 		{"rl-q48", 48, sched.RL, sched.Opts{Cores: 16}, false, 24},
+		{"fcfs-q48", 48, sched.FCFSBanks, sched.Opts{Cores: 16}, false, 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			depth := bc.depth

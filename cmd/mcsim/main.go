@@ -77,7 +77,8 @@ func main() {
 	cfg.WarmupCycles = *warm
 	cfg.Seed = *seed
 	cfg.FastForward = *ff
-	// Scale ATLAS's quantum to the measurement window (DESIGN.md).
+	// Scale ATLAS's quantum to the measurement window, as the study
+	// does (experiment.Study.applyStudyConfig).
 	cfg.SchedOpts.ATLAS = sched.ATLASConfig{
 		QuantumCycles: *cycles / 10, Alpha: 0.875,
 		StarvationThreshold: *cycles / 80, ScanDepth: 1,

@@ -70,7 +70,8 @@ func Quick() Config {
 	}
 }
 
-// Standard returns the configuration used for EXPERIMENTS.md numbers.
+// Standard returns the full-scale configuration (cmd/mcfigures
+// -scale standard).
 func Standard() Config {
 	return Config{
 		MeasureCycles: 600_000,

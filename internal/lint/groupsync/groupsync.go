@@ -4,12 +4,13 @@
 // updated incrementally as requests enter and leave the queues. Any
 // function that changes queue membership (the readQ/writeQ slices)
 // MUST update the index in the same function, by calling one of the
-// maintenance entry points (groupNote, groupRemove, groupEnqueue,
-// groupFold) or rebuilding the option set (buildOptions, which folds
-// pending updates). Otherwise the index silently diverges from the
-// queues and the incremental option builder emits a stale candidate
-// set — a divergence only the differential suites would catch, one
-// randomized stream too late.
+// maintenance entry points: groupEnqueue, which files a queued request
+// into its group, or groupRemove, which takes one out. Otherwise the
+// index silently diverges from the queues and the incremental option
+// builder emits a stale candidate set — a divergence only the
+// differential suites would catch, one randomized stream too late. A
+// rebuild of the option set (buildOptions) does not discharge the
+// obligation: it reads the index and repairs nothing.
 //
 // The write-drain flag is outside the contract: the index reads it
 // only through the mode each build derives, and no memo is keyed on
@@ -46,11 +47,8 @@ var guarded = map[string]map[string]bool{
 // syncCalls are the maintenance entry points that discharge the
 // obligation.
 var syncCalls = map[string]bool{
-	"groupNote":    true,
-	"groupRemove":  true,
 	"groupEnqueue": true,
-	"groupFold":    true,
-	"buildOptions": true,
+	"groupRemove":  true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -119,9 +117,8 @@ func checkFunc(pass *analysis.Pass, n *callgraph.Node) {
 		return
 	}
 	pass.Reportf(firstMut, "%s mutates %s but never updates the candidate-group index "+
-		"(groupNote/groupRemove/groupEnqueue/groupFold, or a rebuild via buildOptions) in the "+
-		"same function; the incremental option builder would emit a stale candidate set "+
-		"(see the groups.go maintenance contract)",
+		"(groupEnqueue/groupRemove) in the same function; the incremental option builder "+
+		"would emit a stale candidate set (see the groups.go maintenance contract)",
 		fd.Name.Name, mutDesc)
 }
 

@@ -22,24 +22,21 @@ type Controller struct {
 	readQ  []*Request
 	writeQ []*Request
 
-	grp        []group
-	grpPending []*Request
-	view       int
+	grp  []group
+	view int
 }
 
-func (c *Controller) groupNote(r *Request)   { c.grpPending = append(c.grpPending, r) }
-func (c *Controller) groupRemove(r *Request) {}
-func (c *Controller) groupFold()             {}
+func (c *Controller) groupEnqueue(r *Request) { c.grp[0].reads = append(c.grp[0].reads, r) }
+func (c *Controller) groupRemove(r *Request)  {}
 func (c *Controller) buildOptions(now uint64, mixed bool) {
-	c.groupFold()
 	c.view++
 }
 
-// enqueueGood mutates queue membership and files the request with the
-// index in the same function.
+// enqueueGood mutates queue membership and files the request into its
+// group in the same function.
 func (c *Controller) enqueueGood(r *Request) {
 	c.readQ = append(c.readQ, r)
-	c.groupNote(r)
+	c.groupEnqueue(r)
 }
 
 // enqueueBad mutates queue membership without updating the index.
@@ -61,10 +58,11 @@ func (c *Controller) removeBad(r *Request) {
 	*q = (*q)[:len(*q)-1]
 }
 
-// truncateGood empties the read queue and rebuilds the option set,
-// which folds the index.
-func (c *Controller) truncateGood(now uint64) {
-	c.readQ = c.readQ[:0]
+// truncateBad empties the read queue and rebuilds the option set. A
+// rebuild reads the index and repairs nothing, so it does not
+// discharge the obligation.
+func (c *Controller) truncateBad(now uint64) {
+	c.readQ = c.readQ[:0] // want `truncateBad mutates Controller.readQ but never updates the candidate-group index`
 	c.buildOptions(now, false)
 }
 

@@ -216,15 +216,12 @@ type Controller struct {
 
 	// Candidate-group index (see groups.go): one live entry per
 	// (bankIdx, row), maintained incrementally by the enqueue and
-	// remove paths, consumed by buildOptions. grp is the group arena
-	// (handles are indices, grpFree recycles them); bankGroups lists
-	// each bank's live handles (indexed rank*banks+bank; order is
-	// irrelevant, so removal swaps with the tail); readOrder and
-	// writeOrder keep the groups with queued reads/writes sorted by
-	// oldest-member ID; bankMinRead/bankMinWrite are the per-bank
-	// oldest-ID index (noID when the bank has none of that kind);
-	// grpPending spools enqueued requests until the next option build
-	// folds them in (the enqueue path stays O(1)). grpBound holds the
+	// remove paths, consumed by buildOptions. grp is the group arena,
+	// sized once by New (handles are indices, grpFree holds every
+	// handle not live); bankGroups lists each bank's live handles
+	// (indexed rank*banks+bank; order is irrelevant, so removal swaps
+	// with the tail); readOrder and writeOrder keep the groups with
+	// queued reads/writes sorted by oldest-member ID. grpBound holds the
 	// dense, handle-indexed earliest-issue memos of each group, one
 	// array for its oldest read and one for its oldest write
 	// (cycle<<1 | row-hit flag, 0 = unknown), that let the builds and
@@ -238,12 +235,8 @@ type Controller struct {
 	colCmds    uint32
 	grpFree    []int32
 	bankGroups [][]int32
-	//mclint:owns -- groupFold drains and nils every pending slot before any read of the index; a request cannot recycle while still queued, and it is queued for as long as it is pending
-	grpPending   []*Request
-	readOrder    []int32
-	writeOrder   []int32
-	bankMinRead  []uint64
-	bankMinWrite []uint64
+	readOrder  []int32
+	writeOrder []int32
 
 	// scratch buffers reused across cycles to avoid allocation.
 	optBuf []Option
@@ -252,14 +245,11 @@ type Controller struct {
 	// Straight-port reference rebuild state, used only by
 	// buildOptionsRef (the per-tick O(queue) twin VerifyCandidateGroups
 	// and the property suites compare the incremental index against).
-	// The (rank, bank, row) grouping and per-bank oldest-ID index use
-	// epoch-stamped open addressing (no per-call clearing, no runtime
-	// map machinery).
-	refBuf     []Option
-	groups     groupTable
-	gkOrder    []uint32 // slot indices into groups, insertion order
-	bankOldest []uint64 // per bankIdx; valid iff bankEpoch matches
-	bankEpoch  []uint32
+	// The (rank, bank, row) grouping uses epoch-stamped open addressing
+	// (no per-call clearing, no runtime map machinery).
+	refBuf  []Option
+	groups  groupTable
+	gkOrder []uint32 // slot indices into groups, insertion order
 
 	// tenants holds per-tenant accounting when TrackTenants enabled it
 	// (multi-tenant systems); nil otherwise.
@@ -316,10 +306,8 @@ func newGroupTable(maxGroups int) groupTable {
 	return groupTable{slots: make([]groupSlot, uint64(1)<<n), mask: uint64(1)<<n - 1, shift: 64 - n}
 }
 
-// reset invalidates every slot in O(1) by advancing the epoch. It
-// reports whether the epoch wrapped, so callers can clear their own
-// epoch-stamped side tables in the same (once per 2^32 resets) stroke.
-func (t *groupTable) reset() (wrapped bool) {
+// reset invalidates every slot in O(1) by advancing the epoch.
+func (t *groupTable) reset() {
 	t.epoch++
 	if t.epoch == 0 {
 		// Wrapped: stale slots could alias the new epoch; clear once
@@ -328,9 +316,7 @@ func (t *groupTable) reset() (wrapped bool) {
 			t.slots[i] = groupSlot{}
 		}
 		t.epoch = 1
-		wrapped = true
 	}
-	return wrapped
 }
 
 // slot returns the slot index for key, probing past live entries with
@@ -357,6 +343,9 @@ func New(cfg Config, ch *dram.Channel, policy Policy, page pagepolicy.Policy) (*
 		return nil, fmt.Errorf("memctrl: nil channel, policy, or page policy")
 	}
 	banks := ch.Geo.Ranks * ch.Geo.Banks
+	// Every live candidate group holds a queued request, so the arena
+	// never needs more groups than the queues hold requests (groups.go).
+	groups := cfg.ReadQueueCap + cfg.WriteQueueCap
 	c := &Controller{
 		cfg:          cfg,
 		ch:           ch,
@@ -365,18 +354,14 @@ func New(cfg Config, ch *dram.Channel, policy Policy, page pagepolicy.Policy) (*
 		pendingClose: make([]bool, banks),
 		rankActs:     make([]uint32, ch.Geo.Ranks),
 		bankGroups:   make([][]int32, banks),
-		bankMinRead:  make([]uint64, banks),
-		bankMinWrite: make([]uint64, banks),
-		// Pre-size the enqueue spill list for the worst case (every
-		// queued request pending at once) so the enqueue path never
-		// grows it; the arena and order arrays grow amortized on the
-		// busy path and are recycled thereafter.
-		grpPending:  make([]*Request, 0, cfg.ReadQueueCap+cfg.WriteQueueCap),
-		writeByAddr: make(map[uint64]*Request, cfg.WriteQueueCap),
+		grp:          make([]group, groups),
+		grpBound:     [2][]uint64{make([]uint64, groups), make([]uint64, groups)},
+		grpFree:      make([]int32, groups),
+		writeByAddr:  make(map[uint64]*Request, cfg.WriteQueueCap),
 	}
-	for i := 0; i < banks; i++ {
-		c.bankMinRead[i] = noID
-		c.bankMinWrite[i] = noID
+	// Handle 0 on top: allocGroup hands out 0, 1, 2, ... first.
+	for i := range c.grpFree {
+		c.grpFree[i] = int32(groups - 1 - i)
 	}
 	return c, nil
 }
@@ -446,7 +431,7 @@ func (c *Controller) EnqueueRead(now uint64, src Source, addr uint64, loc dram.L
 	}
 	c.nextID++
 	c.readQ = append(c.readQ, r)
-	c.groupNote(r)
+	c.groupEnqueue(r)
 	c.noteEnqueue(r, now)
 	c.policy.OnEnqueue(r, now)
 	return true
@@ -476,7 +461,7 @@ func (c *Controller) EnqueueWrite(now uint64, src Source, addr uint64, loc dram.
 	c.nextID++
 	c.writeQ = append(c.writeQ, r)
 	c.writeByAddr[addr] = r //mclint:alloc-ok -- the map is pre-sized to WriteQueueCap at construction and never holds more than the queue cap, so steady-state writes never grow it
-	c.groupNote(r)
+	c.groupEnqueue(r)
 	c.noteEnqueue(r, now)
 	c.policy.OnEnqueue(r, now)
 	return true
@@ -912,7 +897,6 @@ func (c *Controller) consideredQueues(mixed bool) (primary, secondary []*Request
 // PendingRowHits. The single-kind modes test the bound before loading
 // the group at all.
 func (c *Controller) buildOptions(now uint64, mixed bool) {
-	c.groupFold()
 	c.optBuf = c.optBuf[:0]
 	grp := c.grp
 	mode := c.queueMode(mixed)
@@ -933,7 +917,7 @@ func (c *Controller) buildOptions(now uint64, mixed bool) {
 				pendingHits += int(b & 1)
 				continue
 			}
-			pendingHits += c.groupOption(now, h, w, rep, min(c.bankMinRead[g.bank], c.bankMinWrite[g.bank]))
+			pendingHits += c.groupOption(now, h, w, rep)
 		}
 		for _, h := range c.writeOrder {
 			g := &grp[h]
@@ -944,12 +928,12 @@ func (c *Controller) buildOptions(now uint64, mixed bool) {
 				pendingHits += int(b & 1)
 				continue
 			}
-			pendingHits += c.groupOption(now, h, 1, g.writes[0], min(c.bankMinRead[g.bank], c.bankMinWrite[g.bank]))
+			pendingHits += c.groupOption(now, h, 1, g.writes[0])
 		}
 	} else {
-		w, order, bankMin := 0, c.readOrder, c.bankMinRead
+		w, order := 0, c.readOrder
 		if mode == modeWrites {
-			w, order, bankMin = 1, c.writeOrder, c.bankMinWrite
+			w, order = 1, c.writeOrder
 		}
 		bnd := c.grpBound[w]
 		for _, h := range order {
@@ -959,13 +943,12 @@ func (c *Controller) buildOptions(now uint64, mixed bool) {
 			}
 			// groupOption's steps, open-coded to save a call per group
 			// on the hot path.
-			g := &grp[h]
-			rep := g.rep(w)
+			rep := grp[h].rep(w)
 			kind, at := c.memo(h, w)
 			if now >= at {
 				c.optBuf = append(c.optBuf, Option{
 					Cmd: dram.Command{Kind: kind, Loc: rep.Loc}, Req: rep,
-					RowHit: kind >= dram.CmdRead, BankOldestID: bankMin[g.bank],
+					RowHit: kind >= dram.CmdRead,
 				})
 			}
 			if kind >= dram.CmdRead {
@@ -999,17 +982,9 @@ func (c *Controller) buildOptionsRef(now uint64, mixed bool) ([]Option, int) {
 		// code never rebuilds, so an ordinary controller should not
 		// pay for the twin's table.
 		c.groups = newGroupTable(c.cfg.ReadQueueCap + c.cfg.WriteQueueCap)
-		c.bankOldest = make([]uint64, len(c.bankGroups))
-		c.bankEpoch = make([]uint32, len(c.bankGroups))
 	}
 	c.refBuf = c.refBuf[:0]
-	if c.groups.reset() {
-		// bankEpoch is stamped with groups.epoch; a wrap makes ancient
-		// stamps alias the fresh epoch, so clear them together.
-		for i := range c.bankEpoch {
-			c.bankEpoch[i] = 0
-		}
-	}
+	c.groups.reset()
 	c.gkOrder = c.gkOrder[:0]
 	epoch := c.groups.epoch
 
@@ -1025,10 +1000,6 @@ func (c *Controller) buildOptionsRef(now uint64, mixed bool) ([]Option, int) {
 			} else if r.ID < s.req.ID {
 				s.req = r
 			}
-			if c.bankEpoch[bk] != epoch || r.ID < c.bankOldest[bk] {
-				c.bankEpoch[bk] = epoch
-				c.bankOldest[bk] = r.ID
-			}
 		}
 	}
 	var pendingHits int
@@ -1043,13 +1014,12 @@ func (c *Controller) buildOptionsRef(now uint64, mixed bool) ([]Option, int) {
 		// The group's (rank, bank, row) is the representative
 		// request's own location.
 		loc := r.Loc
-		oldest := c.bankOldest[loc.Rank*c.ch.Geo.Banks+loc.Bank]
 		bank := c.ch.Bank(loc.Rank, loc.Bank)
 		switch {
 		case bank.State == dram.BankIdle:
 			cmd := dram.Command{Kind: dram.CmdActivate, Loc: loc}
 			if c.ch.CanIssue(now, cmd) {
-				c.refBuf = append(c.refBuf, Option{Cmd: cmd, Req: r, BankOldestID: oldest})
+				c.refBuf = append(c.refBuf, Option{Cmd: cmd, Req: r})
 			}
 		case bank.OpenRow == loc.Row:
 			pendingHits++
@@ -1059,12 +1029,12 @@ func (c *Controller) buildOptionsRef(now uint64, mixed bool) ([]Option, int) {
 			}
 			cmd := dram.Command{Kind: kind, Loc: loc}
 			if c.ch.CanIssue(now, cmd) {
-				c.refBuf = append(c.refBuf, Option{Cmd: cmd, Req: r, RowHit: true, BankOldestID: oldest})
+				c.refBuf = append(c.refBuf, Option{Cmd: cmd, Req: r, RowHit: true})
 			}
 		default:
 			cmd := dram.Command{Kind: dram.CmdPrecharge, Loc: loc}
 			if c.ch.CanIssue(now, cmd) {
-				c.refBuf = append(c.refBuf, Option{Cmd: cmd, Req: r, BankOldestID: oldest})
+				c.refBuf = append(c.refBuf, Option{Cmd: cmd, Req: r})
 			}
 		}
 	}

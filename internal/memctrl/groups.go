@@ -4,12 +4,14 @@ import "cloudmc/internal/dram"
 
 // This file maintains the candidate-group index: one live entry per
 // (bankIdx, row) holding the queued requests of that group, kept
-// incrementally by the enqueue and remove paths so the busy-path
-// option builder is O(live groups) with cached legality instead of
-// O(queued requests) with a full per-tick rebuild. The index is the
-// authoritative input of buildOptions; buildOptionsRef (the straight-
-// port per-tick rebuild it replaced) survives as the reference twin
-// that VerifyCandidateGroups and the property suites compare against.
+// incrementally by the enqueue and remove paths (EnqueueRead and
+// EnqueueWrite file a request as they queue it, removeRequest takes it
+// out) so the busy-path option builder is O(live groups) with cached
+// legality instead of O(queued requests) with a full per-tick rebuild.
+// The index is the authoritative input of buildOptions and serves only
+// the controller; buildOptionsRef (the straight-port per-tick rebuild
+// it replaced) survives as the reference twin that
+// VerifyCandidateGroups and the property suites compare against.
 //
 // Ordering invariant. The option list must reproduce the reference
 // rebuild bit for bit, and the reference emits groups in first-
@@ -31,6 +33,11 @@ import "cloudmc/internal/dram"
 // when it was the group's oldest of its kind the group's sort key
 // grows, so it is deleted at its old key and re-inserted at the new
 // one (two binary searches plus memmoves over int32 handles).
+//
+// Arena. A live group holds at least one queued request, so no more
+// than ReadQueueCap + WriteQueueCap groups are ever live. New sizes the
+// arena, its bound arrays and the free list for that many once, with
+// every handle free; allocGroup only pops the free list.
 //
 // Earliest-issue memos. A group keeps one memo per request kind: the
 // next command of its oldest read, and that of its oldest write. A
@@ -54,15 +61,11 @@ import "cloudmc/internal/dram"
 //   - a command to the group's bank: issueCmd, the controller's one
 //     path to dram.Channel.Issue, zeroes the bank's groups before the
 //     issue can free any of them;
-//   - a new group: allocGroup zeroes the recycled or fresh handle.
+//   - a new group: allocGroup zeroes the handle it pops.
 //
 // The park fold (idleHorizon) skips on the same bounds and asks memo
 // for every group it does consider, over the order array of each kind
 // the parked mode considers.
-
-// noID is the "no request" sentinel for the per-bank oldest-ID index;
-// it compares greater than every real ID.
-const noID = ^uint64(0)
 
 // group is one live candidate group: the queued requests targeting a
 // single (bankIdx, row), split by kind and held oldest-first, plus the
@@ -95,23 +98,16 @@ type group struct {
 	stamp [2]uint32
 }
 
-// allocGroup takes a group entry from the free list (or grows the
-// arena and its bound arrays) and initializes it for r's (row, bank),
-// with both earliest-issue bounds unknown. Request slices keep their
-// capacity across recycling, so a steady-state controller stops
-// allocating entirely; the first fold sizes the arena for its batch
-// (groupFold).
+// allocGroup pops a group entry from the free list and initializes it
+// for r's (row, bank), with both earliest-issue bounds unknown. The
+// list cannot run dry: the arena has a handle for every request the
+// queues can hold (see New). It is a stack, so a controller reuses the
+// handles it freed last, and their request slices keep their capacity
+// across recycling: a steady-state controller allocates nothing.
 func (c *Controller) allocGroup(r *Request, bank int32) int32 {
-	var h int32
-	if n := len(c.grpFree); n > 0 {
-		h = c.grpFree[n-1]
-		c.grpFree = c.grpFree[:n-1]
-	} else {
-		c.grp = append(c.grp, group{})
-		c.grpBound[0] = append(c.grpBound[0], 0)
-		c.grpBound[1] = append(c.grpBound[1], 0)
-		h = int32(len(c.grp) - 1)
-	}
+	n := len(c.grpFree)
+	h := c.grpFree[n-1]
+	c.grpFree = c.grpFree[:n-1]
 	c.grpBound[0][h], c.grpBound[1][h] = 0, 0
 	g := &c.grp[h]
 	g.row, g.bank = r.Loc.Row, bank
@@ -122,41 +118,13 @@ func (c *Controller) allocGroup(r *Request, bank int32) int32 {
 	return h
 }
 
-// groupNote records a freshly enqueued request for the index. The
-// work of filing it into its group is deferred to the next option
-// build (groupFold): an enqueue into a parked controller must stay
-// O(1) and allocation-free, and the index is not consulted until the
-// next full tick — a tick that may never come for requests that are
-// invisible under the current queue mode (reads during a write
-// drain), making eager maintenance pure waste on the park path.
-func (c *Controller) groupNote(r *Request) {
-	c.grpPending = append(c.grpPending, r)
-}
-
-// groupFold drains the enqueue spill list into the index, in arrival
-// (ID) order so groupEnqueue's tail-append invariant holds. Called at
-// the top of every option build and by VerifyCandidateGroups; nothing
-// reads the index before one of those runs.
-func (c *Controller) groupFold() {
-	if cap(c.grp) == 0 && len(c.grpPending) > 0 {
-		// First fold: size the arena for the batch in one allocation
-		// instead of growing geometrically through it.
-		c.grp = make([]group, 0, len(c.grpPending))          //mclint:alloc-ok -- one-time arena sizing: cap(c.grp)==0 only before the first fold of a controller's life; the arena is reused (grpFree) forever after
-		c.grpBound[0] = make([]uint64, 0, len(c.grpPending)) //mclint:alloc-ok -- sized with the arena, once per controller life
-		c.grpBound[1] = make([]uint64, 0, len(c.grpPending)) //mclint:alloc-ok -- sized with the arena, once per controller life
-	}
-	for i, r := range c.grpPending {
-		c.groupEnqueue(r)
-		c.grpPending[i] = nil
-	}
-	c.grpPending = c.grpPending[:0]
-}
-
-// groupEnqueue adds r to its (bankIdx, row) group, creating the group
-// if needed. O(groups in r's bank) for the row lookup — a handful —
-// and O(1) for the order arrays: r is the newest request in the
-// index, so a group it creates (or gives its first request of r's
-// kind) has the largest min-ID key and belongs at the tail.
+// groupEnqueue files a freshly queued r into its (bankIdx, row) group,
+// creating the group if needed. O(groups in r's bank) for the row
+// lookup — a handful — and O(1) for the order arrays: r is the newest
+// request in the index, so a group it creates (or gives its first
+// request of r's kind) has the largest min-ID key and belongs at the
+// tail. The enqueue paths call it for every request they queue, in ID
+// order.
 func (c *Controller) groupEnqueue(r *Request) {
 	bk := int32(r.Loc.Rank*c.ch.Geo.Banks + r.Loc.Bank)
 	h := int32(-1)
@@ -176,28 +144,22 @@ func (c *Controller) groupEnqueue(r *Request) {
 			c.writeOrder = append(c.writeOrder, h)
 		}
 		g.writes = append(g.writes, r)
-		if r.ID < c.bankMinWrite[bk] {
-			c.bankMinWrite[bk] = r.ID
-		}
 	} else {
 		if len(g.reads) == 0 {
 			c.readOrder = append(c.readOrder, h)
 		}
 		g.reads = append(g.reads, r)
-		if r.ID < c.bankMinRead[bk] {
-			c.bankMinRead[bk] = r.ID
-		}
 	}
 	// The memos need no invalidation. A kind's memo depends on the
 	// group's bank, its row and the kind, not on which request
 	// represents it.
 }
 
-// groupRemove deletes r from its group, repairing the order arrays
-// and the per-bank oldest-ID index, and frees the group when it
-// empties. The served request is normally its group's oldest of its
-// kind (options carry the min-ID representative), making this a head
-// pop; any position is handled for robustness.
+// groupRemove deletes r from its group, repairing the order arrays,
+// and frees the group when it empties. The served request is normally
+// its group's oldest of its kind (options carry the min-ID
+// representative), making this a head pop; any position is handled
+// for robustness.
 func (c *Controller) groupRemove(r *Request) {
 	bk := int32(r.Loc.Rank*c.ch.Geo.Banks + r.Loc.Bank)
 	bg := c.bankGroups[bk]
@@ -221,9 +183,6 @@ func (c *Controller) groupRemove(r *Request) {
 			c.orderDelete(&c.writeOrder, h, oldKey, true)
 			c.orderInsert(&c.writeOrder, h, g.writes[0].ID, true)
 		}
-		if r.ID == c.bankMinWrite[bk] {
-			c.rescanBankMin(bk)
-		}
 	} else {
 		oldKey := g.reads[0].ID
 		popGroupReq(&g.reads, r)
@@ -232,9 +191,6 @@ func (c *Controller) groupRemove(r *Request) {
 		} else if g.reads[0].ID != oldKey {
 			c.orderDelete(&c.readOrder, h, oldKey, false)
 			c.orderInsert(&c.readOrder, h, g.reads[0].ID, false)
-		}
-		if r.ID == c.bankMinRead[bk] {
-			c.rescanBankMin(bk)
 		}
 	}
 	if len(g.reads) == 0 && len(g.writes) == 0 {
@@ -318,23 +274,6 @@ func (c *Controller) orderInsert(order *[]int32, h int32, key uint64, writes boo
 	*order = s
 }
 
-// rescanBankMin recomputes one bank's oldest-ID index from its live
-// groups — O(groups in the bank), called only when the removed
-// request was the bank's oldest of its kind.
-func (c *Controller) rescanBankMin(bk int32) {
-	minR, minW := uint64(noID), uint64(noID)
-	for _, gh := range c.bankGroups[bk] {
-		g := &c.grp[gh]
-		if len(g.reads) > 0 && g.reads[0].ID < minR {
-			minR = g.reads[0].ID
-		}
-		if len(g.writes) > 0 && g.writes[0].ID < minW {
-			minW = g.writes[0].ID
-		}
-	}
-	c.bankMinRead[bk], c.bankMinWrite[bk] = minR, minW
-}
-
 // rep returns g's oldest request of memo kind w: its oldest read for
 // w = 0, its oldest write for w = 1.
 func (g *group) rep(w int) *Request {
@@ -402,12 +341,12 @@ func boundWord(kind dram.CommandKind, at uint64) uint64 {
 // groupOption offers the memoized command of group h's oldest request
 // of kind w, rep, into optBuf when it is legal at now, and returns 1
 // when it is a row hit (legal or not — PendingRowHits counts both).
-// oldest is the BankOldestID the option carries. modeBoth's build
-// calls it for each group whose bound is at or before now.
-func (c *Controller) groupOption(now uint64, h int32, w int, rep *Request, oldest uint64) int {
+// modeBoth's build calls it for each group whose bound is at or before
+// now.
+func (c *Controller) groupOption(now uint64, h int32, w int, rep *Request) int {
 	kind, at := c.memo(h, w)
 	if now >= at {
-		c.optBuf = append(c.optBuf, Option{Cmd: dram.Command{Kind: kind, Loc: rep.Loc}, Req: rep, RowHit: kind >= dram.CmdRead, BankOldestID: oldest})
+		c.optBuf = append(c.optBuf, Option{Cmd: dram.Command{Kind: kind, Loc: rep.Loc}, Req: rep, RowHit: kind >= dram.CmdRead})
 	}
 	if kind >= dram.CmdRead {
 		return 1

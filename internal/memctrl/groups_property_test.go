@@ -16,10 +16,10 @@ import (
 // through enqueues, serves, write-mode flips, and page-policy row
 // transitions, and VerifyCandidateGroups re-derives the full index
 // from scratch between ticks — structural invariants first, then the
-// incremental buildOptions output (options, order, PendingRowHits,
-// BankOldestID) compared bit for bit against buildOptionsRef, the
-// preserved straight-port rebuild. It lives in the external test
-// package so it can sweep the real schedulers (sched imports memctrl).
+// incremental buildOptions output (options, order, PendingRowHits)
+// compared bit for bit against buildOptionsRef, the preserved
+// straight-port rebuild. It lives in the external test package so it
+// can sweep the real schedulers (sched imports memctrl).
 
 // groupsHarness replays one randomized stream and verifies the group
 // index every checkEvery cycles. The stream mirrors the horizon

@@ -16,11 +16,6 @@ type Option struct {
 	// RowHit reports that Cmd is a column access to an already-open
 	// row.
 	RowHit bool
-	// BankOldestID is the ID of the oldest request (in the set the
-	// controller considered this cycle) targeting the same bank as
-	// Cmd. FCFS-style policies use it to enforce per-bank arrival
-	// order.
-	BankOldestID uint64
 }
 
 // View is the controller state a scheduling policy sees when asked to
@@ -33,7 +28,10 @@ type View struct {
 	Options []Option
 	// ReadQLen and WriteQLen are the current queue occupancies.
 	ReadQLen, WriteQLen int
-	// WriteMode reports that the controller is draining writes.
+	// WriteMode reports that the controller serves writes this cycle:
+	// it is draining them, or no reads wait. For a policy that is not
+	// WriteAware it names the queue every option comes from:
+	// WriteQueue while set, ReadQueue otherwise.
 	WriteMode bool
 	// PendingRowHits counts candidate groups, not requests: the
 	// (bank, row) groups among the queues this cycle's mode considers
@@ -48,8 +46,9 @@ type View struct {
 	// and removals preserve order. Policies must treat them as
 	// read-only; they are valid only for the duration of the Pick call.
 	// Policies that need whole-queue visibility use these: PAR-BS
-	// batching, and the ATLAS/QoS bounded rank scan, which relies on
-	// the ID order to read queue position as age.
+	// batching, FCFS_Banks' per-bank arrival order, and the ATLAS/QoS
+	// bounded rank scan, which relies on the ID order to read queue
+	// position as age.
 	//mclint:owns -- aliases of the live queues, valid only within one Pick call; queue membership cannot change (and so nothing can recycle) while the policy holds the View
 	ReadQueue, WriteQueue []*Request
 }

@@ -120,14 +120,12 @@ func (c *Controller) VerifyParkHorizon(now uint64, maxScan uint64) error {
 // Precondition: call at a cycle boundary, before any command has been
 // issued at cycle now. The memo argument (see memo) relies on the
 // command bus being untouched this cycle; calling mid-tick after an
-// issue can report false mismatches. The check folds pending enqueues
-// and rebuilds c.view — state the next tick would recompute anyway —
-// but issues nothing and consults no policy. The memos (bounds, kinds
-// and stamps) are restored on return, so a verified run carries the
-// same memos from tick to tick as an unverified one.
+// issue can report false mismatches. The check rebuilds c.view —
+// state the next tick would recompute anyway — but issues nothing and
+// consults no policy. The memos (bounds, kinds and stamps) are
+// restored on return, so a verified run carries the same memos from
+// tick to tick as an unverified one.
 func (c *Controller) VerifyCandidateGroups(now uint64) error {
-	c.groupFold()
-
 	// Structural pass. Live handles are the ones reachable from the
 	// per-bank group lists; together with the free list they must
 	// partition the arena.
@@ -265,24 +263,6 @@ func (c *Controller) VerifyCandidateGroups(now uint64) error {
 	}
 	if err := checkOrder("writeOrder", c.writeOrder, true); err != nil {
 		return err
-	}
-
-	// Per-bank oldest-ID index.
-	for bk, handles := range c.bankGroups {
-		minR, minW := uint64(noID), uint64(noID)
-		for _, h := range handles {
-			g := &c.grp[h]
-			if len(g.reads) > 0 && g.reads[0].ID < minR {
-				minR = g.reads[0].ID
-			}
-			if len(g.writes) > 0 && g.writes[0].ID < minW {
-				minW = g.writes[0].ID
-			}
-		}
-		if c.bankMinRead[bk] != minR || c.bankMinWrite[bk] != minW {
-			return fmt.Errorf("memctrl: groups: bank %d oldest-ID index (%d, %d), want (%d, %d)",
-				bk, c.bankMinRead[bk], c.bankMinWrite[bk], minR, minW)
-		}
 	}
 
 	// Earliest-issue memos of both kinds, checked before the builds

@@ -10,7 +10,9 @@ import (
 // "FCFS_banks" variant the paper evaluates (§2.1). It never reorders
 // within a bank, so it cannot promote row hits past older conflicting
 // requests; across banks it serves the bank whose head request is
-// oldest.
+// oldest. A bank's head is the oldest request to its (rank, bank) in
+// the queue the options come from: View.WriteQueue while
+// View.WriteMode is set, View.ReadQueue otherwise.
 type FCFSBanksPolicy struct {
 	noHooks
 }
@@ -24,17 +26,35 @@ func (*FCFSBanksPolicy) Name() string { return "FCFS_Banks" }
 // Pick implements memctrl.Policy: among options that advance their
 // bank's oldest request, choose the globally oldest.
 func (*FCFSBanksPolicy) Pick(v *memctrl.View) int {
+	q := v.ReadQueue
+	if v.WriteMode {
+		q = v.WriteQueue
+	}
 	best := -1
 	for i := range v.Options {
-		opt := &v.Options[i]
-		if opt.Req.ID != opt.BankOldestID {
-			continue // per-bank FIFO: only the head may be served
+		r := v.Options[i].Req
+		if best != -1 && r.ID >= v.Options[best].Req.ID {
+			continue
 		}
-		if best == -1 || opt.Req.ID < v.Options[best].Req.ID {
+		if bankHead(q, r) { // per-bank FIFO: only the head may be served
 			best = i
 		}
 	}
 	return best
+}
+
+// bankHead reports whether no request in the ID-ascending queue q is
+// older than r and targets r's (rank, bank).
+func bankHead(q []*memctrl.Request, r *memctrl.Request) bool {
+	for _, x := range q {
+		if x.ID >= r.ID {
+			return true
+		}
+		if x.Loc.Rank == r.Loc.Rank && x.Loc.Bank == r.Loc.Bank {
+			return false
+		}
+	}
+	return true
 }
 
 // OnIssue implements memctrl.Policy.

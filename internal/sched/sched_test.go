@@ -7,13 +7,22 @@ import (
 	"cloudmc/internal/memctrl"
 )
 
-func opt(id uint64, core int, hit bool, bankOldest uint64, kind dram.CommandKind) memctrl.Option {
+func opt(id uint64, core int, hit bool, kind dram.CommandKind) memctrl.Option {
 	return memctrl.Option{
-		Cmd:          dram.Command{Kind: kind},
-		Req:          &memctrl.Request{ID: id, Core: core},
-		RowHit:       hit,
-		BankOldestID: bankOldest,
+		Cmd:    dram.Command{Kind: kind},
+		Req:    &memctrl.Request{ID: id, Core: core},
+		RowHit: hit,
 	}
+}
+
+// bankReq is a queued read to (rank, bank).
+func bankReq(id uint64, rank, bank int) *memctrl.Request {
+	return &memctrl.Request{ID: id, Loc: dram.Location{Rank: rank, Bank: bank}}
+}
+
+// reqOpt offers a command of the given kind advancing the queued r.
+func reqOpt(r *memctrl.Request, kind dram.CommandKind) memctrl.Option {
+	return memctrl.Option{Cmd: dram.Command{Kind: kind, Loc: r.Loc}, Req: r, RowHit: kind >= dram.CmdRead}
 }
 
 func TestKindNamesRoundTrip(t *testing.T) {
@@ -31,8 +40,8 @@ func TestKindNamesRoundTrip(t *testing.T) {
 func TestFRFCFSPrefersRowHits(t *testing.T) {
 	p := NewFRFCFS()
 	v := &memctrl.View{Options: []memctrl.Option{
-		opt(1, 0, false, 1, dram.CmdActivate),
-		opt(5, 1, true, 5, dram.CmdRead), // younger but a row hit
+		opt(1, 0, false, dram.CmdActivate),
+		opt(5, 1, true, dram.CmdRead), // younger but a row hit
 	}}
 	if got := p.Pick(v); got != 1 {
 		t.Fatalf("pick = %d, want the row hit", got)
@@ -42,15 +51,15 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 func TestFRFCFSBreaksTiesByAge(t *testing.T) {
 	p := NewFRFCFS()
 	v := &memctrl.View{Options: []memctrl.Option{
-		opt(7, 0, true, 7, dram.CmdRead),
-		opt(3, 1, true, 3, dram.CmdRead),
+		opt(7, 0, true, dram.CmdRead),
+		opt(3, 1, true, dram.CmdRead),
 	}}
 	if got := p.Pick(v); got != 1 {
 		t.Fatalf("pick = %d, want the older hit", got)
 	}
 	v = &memctrl.View{Options: []memctrl.Option{
-		opt(7, 0, false, 7, dram.CmdActivate),
-		opt(3, 1, false, 3, dram.CmdActivate),
+		opt(7, 0, false, dram.CmdActivate),
+		opt(3, 1, false, dram.CmdActivate),
 	}}
 	if got := p.Pick(v); got != 1 {
 		t.Fatalf("pick = %d, want the older miss", got)
@@ -59,11 +68,13 @@ func TestFRFCFSBreaksTiesByAge(t *testing.T) {
 
 func TestFCFSBanksServesOnlyBankHeads(t *testing.T) {
 	p := NewFCFSBanks()
-	// Option 0 is a row hit but NOT its bank's oldest request; option 1
-	// is its bank's head. FCFS_Banks must refuse the reordering.
-	v := &memctrl.View{Options: []memctrl.Option{
-		opt(9, 0, true, 2, dram.CmdRead),
-		opt(4, 1, false, 4, dram.CmdActivate),
+	// Option 0 is a row hit but NOT its bank's oldest request (2 is);
+	// option 1 is its bank's head. FCFS_Banks must refuse the
+	// reordering.
+	q := []*memctrl.Request{bankReq(2, 0, 0), bankReq(4, 0, 1), bankReq(9, 0, 0)}
+	v := &memctrl.View{ReadQueue: q, Options: []memctrl.Option{
+		reqOpt(q[2], dram.CmdRead),
+		reqOpt(q[1], dram.CmdActivate),
 	}}
 	if got := p.Pick(v); got != 1 {
 		t.Fatalf("pick = %d, want the bank head", got)
@@ -72,9 +83,10 @@ func TestFCFSBanksServesOnlyBankHeads(t *testing.T) {
 
 func TestFCFSBanksPicksOldestHeadAcrossBanks(t *testing.T) {
 	p := NewFCFSBanks()
-	v := &memctrl.View{Options: []memctrl.Option{
-		opt(8, 0, false, 8, dram.CmdActivate),
-		opt(3, 1, false, 3, dram.CmdActivate),
+	q := []*memctrl.Request{bankReq(3, 0, 1), bankReq(8, 0, 0)}
+	v := &memctrl.View{ReadQueue: q, Options: []memctrl.Option{
+		reqOpt(q[1], dram.CmdActivate),
+		reqOpt(q[0], dram.CmdActivate),
 	}}
 	if got := p.Pick(v); got != 1 {
 		t.Fatalf("pick = %d, want oldest head", got)
@@ -83,8 +95,9 @@ func TestFCFSBanksPicksOldestHeadAcrossBanks(t *testing.T) {
 
 func TestFCFSBanksReturnsMinusOneWhenNoHeads(t *testing.T) {
 	p := NewFCFSBanks()
-	v := &memctrl.View{Options: []memctrl.Option{
-		opt(9, 0, true, 2, dram.CmdRead), // head (ID 2) has no option
+	q := []*memctrl.Request{bankReq(2, 0, 0), bankReq(9, 0, 0)}
+	v := &memctrl.View{ReadQueue: q, Options: []memctrl.Option{
+		reqOpt(q[1], dram.CmdRead), // head (ID 2) has no option
 	}}
 	if got := p.Pick(v); got != -1 {
 		t.Fatalf("pick = %d, want -1 (head not issuable)", got)
@@ -93,9 +106,9 @@ func TestFCFSBanksReturnsMinusOneWhenNoHeads(t *testing.T) {
 
 func TestPARBSBatchPriority(t *testing.T) {
 	p := NewPARBS(DefaultPARBSConfig(), 4)
-	batched := opt(9, 0, false, 9, dram.CmdActivate)
+	batched := opt(9, 0, false, dram.CmdActivate)
 	batched.Req.Batched = true
-	unbatchedHit := opt(2, 1, true, 2, dram.CmdRead)
+	unbatchedHit := opt(2, 1, true, dram.CmdRead)
 	v := &memctrl.View{
 		Options:   []memctrl.Option{unbatchedHit, batched},
 		ReadQueue: []*memctrl.Request{unbatchedHit.Req, batched.Req},
@@ -119,7 +132,7 @@ func TestPARBSBatchCapRespected(t *testing.T) {
 		})
 	}
 	v := &memctrl.View{ReadQueue: queue, Options: []memctrl.Option{
-		{Cmd: dram.Command{Kind: dram.CmdActivate}, Req: queue[0], BankOldestID: 0},
+		{Cmd: dram.Command{Kind: dram.CmdActivate}, Req: queue[0]},
 	}}
 	p.Pick(v) // triggers batch formation
 	marked := 0
@@ -151,8 +164,8 @@ func TestPARBSShortestJobFirstRanking(t *testing.T) {
 	queue = append(queue, &memctrl.Request{ID: 3, Core: 1,
 		Loc: dram.Location{Rank: 0, Bank: 1, Row: 7}})
 	v := &memctrl.View{ReadQueue: queue, Options: []memctrl.Option{
-		{Cmd: dram.Command{Kind: dram.CmdActivate}, Req: queue[0], BankOldestID: 0},
-		{Cmd: dram.Command{Kind: dram.CmdActivate}, Req: queue[3], BankOldestID: 3},
+		{Cmd: dram.Command{Kind: dram.CmdActivate}, Req: queue[0]},
+		{Cmd: dram.Command{Kind: dram.CmdActivate}, Req: queue[3]},
 	}}
 	if got := p.Pick(v); got != 1 {
 		t.Fatalf("pick = %d, want the short-job core's request", got)
@@ -245,8 +258,8 @@ func TestRLPicksLegalIndicesOnly(t *testing.T) {
 	p := NewRL(DefaultRLConfig(), 42)
 	for now := uint64(0); now < 3000; now++ {
 		opts := []memctrl.Option{
-			opt(now, 0, now%2 == 0, now, dram.CmdRead),
-			opt(now+1, 1, false, now+1, dram.CmdActivate),
+			opt(now, 0, now%2 == 0, dram.CmdRead),
+			opt(now+1, 1, false, dram.CmdActivate),
 		}
 		v := &memctrl.View{Now: now, Options: opts, ReadQLen: 2}
 		got := p.Pick(v)
