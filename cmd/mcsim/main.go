@@ -25,6 +25,7 @@ import (
 	"cloudmc/cmd/internal/monitor"
 	"cloudmc/internal/addrmap"
 	"cloudmc/internal/core"
+	"cloudmc/internal/experiment"
 	"cloudmc/internal/obs"
 	"cloudmc/internal/sched"
 	"cloudmc/internal/workload"
@@ -32,7 +33,7 @@ import (
 
 func main() {
 	wl := flag.String("workload", "DS", "workload acronym (Table 1)")
-	schedName := flag.String("sched", "FR-FCFS", "scheduler: FR-FCFS, FCFS_Banks, PAR-BS, ATLAS, RL")
+	schedName := flag.String("sched", "FR-FCFS", "scheduler: FR-FCFS, FCFS_Banks, PAR-BS, ATLAS, RL, QoS")
 	page := flag.String("page", "OpenAdaptive", "page policy: Open, Close, OpenAdaptive, CloseAdaptive, RBPP, ABPP")
 	channels := flag.Int("channels", 1, "memory channels (1, 2 or 4)")
 	mapping := flag.String("map", "RoRaBaCoCh", "address mapping scheme")
@@ -77,12 +78,9 @@ func main() {
 	cfg.WarmupCycles = *warm
 	cfg.Seed = *seed
 	cfg.FastForward = *ff
-	// Scale ATLAS's quantum to the measurement window, as the study
-	// does (experiment.Study.applyStudyConfig).
-	cfg.SchedOpts.ATLAS = sched.ATLASConfig{
-		QuantumCycles: *cycles / 10, Alpha: 0.875,
-		StarvationThreshold: *cycles / 80, ScanDepth: 1,
-	}
+	// Compress the ATLAS and QoS quanta to the measurement window,
+	// exactly as the study does.
+	experiment.ScaleQuanta(&cfg)
 
 	sys, err := core.NewSystem(cfg)
 	if err != nil {

@@ -18,24 +18,13 @@ import (
 	"log"
 
 	"cloudmc/internal/core"
+	"cloudmc/internal/experiment"
 	"cloudmc/internal/sched"
 	"cloudmc/internal/tenant"
 	"cloudmc/internal/workload"
 )
 
 const measureCycles = 300_000
-
-// scaleATLAS shrinks the paper's 10M-cycle ATLAS quantum to the
-// compressed measurement window (about ten quanta per run), exactly as
-// the experiment harness does; with the stock quantum the ranking
-// would never update inside a short run.
-func scaleATLAS(cfg *core.Config) {
-	quantum := uint64(measureCycles / 10)
-	cfg.SchedOpts.ATLAS = sched.ATLASConfig{
-		QuantumCycles: quantum, Alpha: 0.875,
-		StarvationThreshold: quantum / 8, ScanDepth: 2,
-	}
-}
 
 func main() {
 	// A 16-core machine, split 8/8 between a victim and an adversary.
@@ -49,7 +38,10 @@ func main() {
 			cfg := core.DefaultConfig(sp.Adjusted())
 			cfg.Scheduler = kind
 			cfg.MeasureCycles = measureCycles
-			scaleATLAS(&cfg)
+			// The study's compressed quanta (about ten per run): with
+			// the paper's 10M-cycle quantum the ATLAS ranking would
+			// never update inside a short run.
+			experiment.ScaleQuanta(&cfg)
 			sys, err := core.NewSystem(cfg)
 			if err != nil {
 				log.Fatal(err)
@@ -62,7 +54,7 @@ func main() {
 		cfg := core.DefaultMixConfig(mix)
 		cfg.Scheduler = kind
 		cfg.MeasureCycles = measureCycles
-		scaleATLAS(&cfg)
+		experiment.ScaleQuanta(&cfg)
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			log.Fatal(err)

@@ -25,6 +25,7 @@ import (
 	"log"
 
 	"cloudmc/internal/core"
+	"cloudmc/internal/experiment"
 	"cloudmc/internal/sched"
 	"cloudmc/internal/tenant"
 	"cloudmc/internal/workload"
@@ -37,18 +38,10 @@ const (
 
 // scalePolicies shrinks the ATLAS/QoS monitoring quanta to the
 // compressed measurement window, exactly as the experiment harness
-// does.
+// does, and sets the operator's slowdown budget.
 func scalePolicies(cfg *core.Config) {
-	quantum := uint64(measureCycles / 10)
-	cfg.SchedOpts.ATLAS = sched.ATLASConfig{
-		QuantumCycles: quantum, Alpha: 0.875,
-		StarvationThreshold: quantum / 8, ScanDepth: 2,
-	}
-	qos := sched.DefaultQoSConfig()
-	qos.QuantumCycles = quantum
-	qos.StarvationThreshold = quantum / 8
-	qos.MaxSlowdownSLO = maxSlowdown
-	cfg.SchedOpts.QoS = qos
+	experiment.ScaleQuanta(cfg)
+	cfg.SchedOpts.QoS.MaxSlowdownSLO = maxSlowdown
 }
 
 func main() {

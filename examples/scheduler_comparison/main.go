@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"cloudmc/internal/core"
+	"cloudmc/internal/experiment"
 	"cloudmc/internal/sched"
 	"cloudmc/internal/workload"
 )
@@ -35,12 +36,9 @@ func main() {
 		cfg := core.DefaultConfig(prof)
 		cfg.Scheduler = kind
 		cfg.MeasureCycles = 400_000
-		// Scale ATLAS's 10M-cycle quantum to the compressed window
-		// (see experiment.Study.applyStudyConfig on time compression).
-		cfg.SchedOpts.ATLAS = sched.ATLASConfig{
-			QuantumCycles: cfg.MeasureCycles / 10, Alpha: 0.875,
-			StarvationThreshold: cfg.MeasureCycles / 80, ScanDepth: 1,
-		}
+		// Scale ATLAS's 10M-cycle quantum to the compressed window,
+		// exactly as the study does.
+		experiment.ScaleQuanta(&cfg)
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			log.Fatal(err)

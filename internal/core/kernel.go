@@ -29,14 +29,15 @@ import "cloudmc/internal/cpu"
 //     horizon inside memctrl, so the value read here is current.
 //   - The fill path's wake-up is the fill queue's head, read after the
 //     controller phase, whose completions schedule fills.
+//   - A DMA agent plans each gap between its bursts ahead, making the
+//     per-cycle loop's injection draws in the same order, so
+//     workload.IOAgent.NextEvent is the cycle of its next block.
 //
 // stepKernel rebuilds nextWake — the earliest future cycle any core,
-// controller, pending fill or retry queue can act — while it runs the
-// phases, so advanceKernel's jump decision is a single compare.
-// Writeback/DMA retry queues keep the system stepping while non-empty
-// (they retry every cycle, exactly like the per-cycle loop), and IO
-// agents negotiate jumps through Scan/Skip (negotiateIOJump), so their
-// per-cycle injection draws replay bit-exactly.
+// controller, pending fill, DMA agent or retry queue can act — while
+// it runs the phases, so advanceKernel's jump decision is a single
+// compare. Writeback/DMA retry queues keep the system stepping while
+// non-empty (they retry every cycle, exactly like the per-cycle loop).
 
 // kernelState holds the event-kernel bookkeeping; embedded in System
 // and initialised only when the kernel mode is selected.
@@ -49,11 +50,10 @@ type kernelState struct {
 	coreIdleFrom []uint64
 
 	// nextWake is the earliest cycle at which any component can act:
-	// stalled cores, controllers, the fill-queue head, and non-empty
-	// retry queues. stepKernel rebuilds it every stepped cycle — it
-	// already visits exactly those components — so the jump decision in
-	// advanceKernel is a single compare. IO agents are covered by the
-	// Scan negotiation at jump time.
+	// stalled cores, controllers, the fill-queue head, DMA agents and
+	// non-empty retry queues. stepKernel rebuilds it every stepped
+	// cycle — it already visits exactly those components — so the jump
+	// decision in advanceKernel is a single compare.
 	nextWake uint64
 }
 
@@ -156,10 +156,16 @@ func (s *System) stepKernel() {
 
 	// A fill scheduled this cycle for this cycle (zero on-chip path
 	// latency) is delivered at the top of the next one, exactly where
-	// the per-cycle loop delivers it. Retry queues poll every cycle
-	// while non-empty.
+	// the per-cycle loop delivers it. A DMA agent's next block lies
+	// past now, since tickIO emitted any block due. Retry queues poll
+	// every cycle while non-empty.
 	if len(s.fillq) > 0 {
 		if t := max(s.fillq[0].at, now+1); t < next {
+			next = t
+		}
+	}
+	for _, a := range s.ios {
+		if t := a.NextEvent(now + 1); t < next {
 			next = t
 		}
 	}
@@ -172,19 +178,15 @@ func (s *System) stepKernel() {
 
 // advanceKernel runs the event-kernel loop to cycle `end`: step while
 // anything is due, and jump straight to nextWake (capped at end) when
-// nothing needs the current cycle. Jumps negotiate with the IO agents
-// (Scan/Skip) so their per-cycle injection draws replay exactly, and
-// never pass a wake-up, which is what makes every skipped cycle
-// provably inert.
+// nothing needs the current cycle. A jump never passes a wake-up,
+// which is what makes every skipped cycle provably inert.
 //
 //mclint:hotpath
 func (s *System) advanceKernel(end uint64) {
 	for s.cycle < end {
 		if h := min(s.nextWake, end); h > s.cycle {
-			if n := s.negotiateIOJump(h - s.cycle); n > 0 {
-				s.cycle += n
-				continue
-			}
+			s.cycle = h
+			continue
 		}
 		s.stepKernel()
 	}

@@ -239,8 +239,8 @@ func stepAndAudit(t *testing.T, cfg Config, cycles uint64, label string) {
 
 // wakeBound recomputes the kernel's jump bound by brute force: the
 // earliest cycle, at or after the clock, at which a core that is not
-// blocked, a controller, the fill-queue head or a non-empty retry
-// queue can act.
+// blocked, a controller, the fill-queue head, a DMA agent or a
+// non-empty retry queue can act.
 func wakeBound(s *System) uint64 {
 	now := s.cycle
 	h := uint64(cpu.Never)
@@ -255,6 +255,9 @@ func wakeBound(s *System) uint64 {
 	if len(s.fillq) > 0 {
 		h = min(h, max(s.fillq[0].at, now))
 	}
+	for _, a := range s.ios {
+		h = min(h, max(a.NextEvent(now), now))
+	}
 	if len(s.wbq) > 0 || len(s.ioq) > 0 {
 		h = now
 	}
@@ -263,8 +266,9 @@ func wakeBound(s *System) uint64 {
 
 // TestParkHorizonExactness is the system-level property test of the
 // controllers' park horizons: randomized profiles (including >16-core
-// configs and DMA agents) under FR-FCFS, ATLAS, PAR-BS and QoS, plus
-// an isolated multi-tenant mix, all audited park by park.
+// configs and DMA agents) under FR-FCFS, ATLAS, PAR-BS and QoS, an
+// isolated multi-tenant mix, and Web Frontend with a DMA agent that
+// bursts every few hundred cycles, all audited park by park.
 func TestParkHorizonExactness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cycle-stepped audits are slow")
@@ -305,6 +309,25 @@ func TestParkHorizonExactness(t *testing.T) {
 			StarvationThreshold: 1_000, ScanDepth: 4, BaselineLatency: 70,
 		}
 		stepAndAudit(t, cfg, 12_000, "isolated-mix-32c")
+	})
+
+	// The random trials' agents rarely burst inside the audited
+	// window; this one bursts about every 125 cycles, so the audit
+	// sees the kernel wake for DMA blocks the cores and controllers do
+	// not know about.
+	t.Run("WF-dma", func(t *testing.T) {
+		p := workload.WebFrontend()
+		p.IO.BurstsPerMCycle = 2_000
+		cfg := DefaultConfig(p)
+		cfg.Channels = 4
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first := sys.ios[0].NextEvent(0); first >= 12_000 {
+			t.Fatalf("first DMA block at cycle %d, outside the audited window", first)
+		}
+		stepAndAudit(t, cfg, 12_000, "WF-dma")
 	})
 }
 

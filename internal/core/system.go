@@ -527,7 +527,7 @@ func (s *System) drainWritebacks(now uint64) {
 // in order.
 func (s *System) tickIO(now uint64) {
 	for i, a := range s.ios {
-		if addr, ok, write := a.Next(); ok {
+		if addr, ok, write := a.Next(now); ok {
 			s.ioq = append(s.ioq, pendingIO{addr: addr, write: write, tenant: s.ioTenant[i]})
 		}
 	}
@@ -708,29 +708,6 @@ func (s *System) stepNaive() {
 		ctl.Tick(now)
 	}
 	s.cycle++
-}
-
-// negotiateIOJump asks every IO agent to confirm up to n upcoming
-// cycles silent (consuming their per-cycle injection draws exactly
-// once via Scan) and returns the largest jump all agents agree to,
-// consuming that many confirmed-silent cycles with Skip. Zero means
-// some agent fires this cycle and the caller must step. A jump cut
-// short by one agent leaves the others' scanned-silent windows to be
-// absorbed by their later Next calls.
-func (s *System) negotiateIOJump(n uint64) uint64 {
-	for _, a := range s.ios {
-		idle, fired := a.Scan(n)
-		if fired && idle == 0 {
-			return 0
-		}
-		if idle < n {
-			n = idle
-		}
-	}
-	for _, a := range s.ios {
-		a.Skip(n)
-	}
-	return n
 }
 
 // Advance simulates n cycles from the current clock, using the event

@@ -46,8 +46,9 @@ func TestMixedTenantFastForwardEquivalence(t *testing.T) {
 	}
 	mixes := []tenant.Mix{
 		tenant.Pair(workload.DataServing(), workload.MemoryHog(), 8),
-		// Two IO-carrying tenants: exercises the multi-agent Scan/Skip
-		// path where one agent's fire cuts another's jump short.
+		// Two IO-carrying tenants: each agent's planned block is its
+		// own wake-up, so one agent's burst cuts a jump the other
+		// agent's gap would allow.
 		tenant.Pair(workload.WebFrontend(), workload.MediaStreaming(), 8),
 		tenant.NewMix("",
 			tenant.Spec{Profile: workload.WebSearch(), Cores: 4},

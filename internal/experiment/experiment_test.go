@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"cloudmc/internal/core"
+	"cloudmc/internal/sched"
 	"cloudmc/internal/workload"
 )
 
@@ -151,5 +153,28 @@ func TestQuickAndStandardConfigs(t *testing.T) {
 	}
 	if len(q.workloads()) != 12 {
 		t.Fatalf("default workload set = %d, want 12", len(q.workloads()))
+	}
+}
+
+// TestScaleQuanta pins the study's compressed-quantum rule: ATLAS and
+// QoS share a quantum of a tenth of the measured window, at least
+// 10,000 cycles, with a starvation cap of an eighth of it; QoS keeps
+// its default SLO.
+func TestScaleQuanta(t *testing.T) {
+	for _, tc := range []struct{ measure, quantum uint64 }{
+		{1_000_000, 100_000},
+		{400_000, 40_000},
+		{50_000, 10_000},
+	} {
+		cfg := core.DefaultConfig(workload.DataServing())
+		cfg.MeasureCycles = tc.measure
+		ScaleQuanta(&cfg)
+		a, q := cfg.SchedOpts.ATLAS, cfg.SchedOpts.QoS
+		if a.QuantumCycles != tc.quantum || a.StarvationThreshold != tc.quantum/8 || a.ScanDepth != 2 || a.Alpha != 0.875 {
+			t.Errorf("measure %d: ATLAS %+v, want quantum %d", tc.measure, a, tc.quantum)
+		}
+		if q.QuantumCycles != tc.quantum || q.StarvationThreshold != tc.quantum/8 || q.MaxSlowdownSLO != sched.DefaultQoSConfig().MaxSlowdownSLO {
+			t.Errorf("measure %d: QoS %+v, want quantum %d", tc.measure, q, tc.quantum)
+		}
 	}
 }

@@ -169,30 +169,32 @@ func (s *Study) applyStudyConfig(cfg *core.Config, k runKey) {
 	cfg.WarmupCycles = s.cfg.WarmupCycles
 	cfg.WarmupInstrPerCore = s.cfg.WarmupInstrPerCore
 	cfg.Seed = s.cfg.Seed
-	// The paper's ATLAS quantum (10M cycles) assumes multi-billion-
-	// cycle samples; our compressed windows would never complete a
-	// quantum. Scale the quantum so ~10 fit in the measurement window
-	// and keep the starvation cap far above the uncontended memory
-	// latency, preserving the long-deprioritization behaviour the
-	// paper observes (§4.1.1).
-	quantum := s.cfg.MeasureCycles / 10
-	if quantum < 10_000 {
-		quantum = 10_000
+	ScaleQuanta(cfg)
+	if s.cfg.MaxSlowdownSLO > 0 {
+		cfg.SchedOpts.QoS.MaxSlowdownSLO = s.cfg.MaxSlowdownSLO
 	}
+}
+
+// ScaleQuanta sets cfg's ATLAS and QoS settings to the study's
+// compressed time scale, read from cfg.MeasureCycles. The paper's
+// ATLAS quantum (10M cycles) assumes multi-billion-cycle samples;
+// compressed windows would never complete a quantum. The quantum is
+// scaled so ~10 fit in the measurement window, with a floor of 10,000
+// cycles, and the starvation cap stays far above the uncontended
+// memory latency, preserving the long-deprioritization behaviour the
+// paper observes (§4.1.1). The QoS scheduler monitors at the same
+// quantum and keeps its default SLO.
+func ScaleQuanta(cfg *core.Config) {
+	quantum := max(cfg.MeasureCycles/10, 10_000)
 	cfg.SchedOpts.ATLAS = sched.ATLASConfig{
 		QuantumCycles:       quantum,
 		Alpha:               0.875,
 		StarvationThreshold: quantum / 8,
 		ScanDepth:           2,
 	}
-	// The QoS scheduler monitors at the same compressed quantum; its
-	// SLO comes from the study configuration.
 	qos := sched.DefaultQoSConfig()
 	qos.QuantumCycles = quantum
 	qos.StarvationThreshold = quantum / 8
-	if s.cfg.MaxSlowdownSLO > 0 {
-		qos.MaxSlowdownSLO = s.cfg.MaxSlowdownSLO
-	}
 	cfg.SchedOpts.QoS = qos
 }
 

@@ -433,7 +433,6 @@ func (c *Controller) EnqueueRead(now uint64, src Source, addr uint64, loc dram.L
 	c.readQ = append(c.readQ, r)
 	c.groupEnqueue(r)
 	c.noteEnqueue(r, now)
-	c.policy.OnEnqueue(r, now)
 	return true
 }
 
@@ -463,7 +462,6 @@ func (c *Controller) EnqueueWrite(now uint64, src Source, addr uint64, loc dram.
 	c.writeByAddr[addr] = r //mclint:alloc-ok -- the map is pre-sized to WriteQueueCap at construction and never holds more than the queue cap, so steady-state writes never grow it
 	c.groupEnqueue(r)
 	c.noteEnqueue(r, now)
-	c.policy.OnEnqueue(r, now)
 	return true
 }
 

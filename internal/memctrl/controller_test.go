@@ -28,7 +28,6 @@ func (frPolicy) Pick(v *View) int {
 	}
 	return best
 }
-func (frPolicy) OnEnqueue(*Request, uint64)               {}
 func (frPolicy) OnComplete(*Request, uint64)              {}
 func (frPolicy) OnIssue(*View, int, dram.Command, uint64) {}
 func (frPolicy) Tick(uint64)                              {}

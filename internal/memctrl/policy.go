@@ -81,21 +81,20 @@ func (v *View) OldestOption() int {
 //
 // Lifetime contract: a *Request is owned by the controller and
 // recycled through a free list once its transfer completes. Policies
-// may hold the pointer from OnEnqueue until their OnComplete call for
-// that request returns, and no longer: after OnComplete the same
-// *Request may be reused for an unrelated future enqueue (same
-// pointer, new ID/address/tenant). Policies that need per-request
-// state past completion must key it by value (Request.ID), never by
-// pointer. (All shipped policies drop the pointer in OnComplete;
-// PAR-BS re-reads the queues from View each Pick.)
+// may hold a pointer they were shown (in a View or OnIssue) until
+// their OnComplete call for that request returns, and no longer:
+// after OnComplete the same *Request may be reused for an unrelated
+// future enqueue (same pointer, new ID/address/tenant). Policies that
+// need per-request state past completion must key it by value
+// (Request.ID), never by pointer. (All shipped policies drop the
+// pointer in OnComplete; PAR-BS re-reads the queues from View each
+// Pick.)
 type Policy interface {
 	// Name returns the algorithm name used in reports.
 	Name() string
 	// Pick returns the index of the option to issue, or -1 to issue
 	// nothing this cycle.
 	Pick(v *View) int
-	// OnEnqueue is called when a request enters a queue.
-	OnEnqueue(r *Request, now uint64)
 	// OnComplete is called when a request's data transfer completes.
 	OnComplete(r *Request, now uint64)
 	// OnIssue is called after the controller issues the picked
@@ -113,13 +112,6 @@ type Policy interface {
 // must observe the clock even if the controller is otherwise inert;
 // the fast-forward engine never skips past it. Policies without timed
 // state need not implement the interface.
-//
-// Contract: OnEnqueue must not move NextPolicyEvent earlier. An
-// enqueue into a parked controller re-arms the established horizon in
-// O(1) from the new request's own command and does not re-read the
-// policy event until the next full tick; a policy that advanced its
-// event inside OnEnqueue could therefore be woken late. (All shipped
-// policies keep OnEnqueue stateless; sched's horizon tests pin this.)
 type EventHorizon interface {
 	NextPolicyEvent(now uint64) uint64
 }

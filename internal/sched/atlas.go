@@ -172,9 +172,6 @@ func (p *ATLASPolicy) slot(r *memctrl.Request) int {
 // Name implements memctrl.Policy.
 func (*ATLASPolicy) Name() string { return "ATLAS" }
 
-// OnEnqueue implements memctrl.Policy.
-func (*ATLASPolicy) OnEnqueue(*memctrl.Request, uint64) {}
-
 // OnComplete implements memctrl.Policy.
 func (*ATLASPolicy) OnComplete(*memctrl.Request, uint64) {}
 

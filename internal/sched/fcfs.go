@@ -75,7 +75,11 @@ func NewFRFCFS() *FRFCFSPolicy { return &FRFCFSPolicy{} }
 func (*FRFCFSPolicy) Name() string { return "FR-FCFS" }
 
 // Pick implements memctrl.Policy.
-func (*FRFCFSPolicy) Pick(v *memctrl.View) int {
+func (*FRFCFSPolicy) Pick(v *memctrl.View) int { return pickFRFCFS(v) }
+
+// pickFRFCFS applies FR-FCFS selection; FRFCFSPolicy and the policies
+// that fall back to it for write drains share it.
+func pickFRFCFS(v *memctrl.View) int {
 	best := -1
 	bestHit := false
 	for i := range v.Options {

@@ -63,9 +63,6 @@ func NewPARBS(cfg PARBSConfig, cores int) *PARBSPolicy {
 // Name implements memctrl.Policy.
 func (*PARBSPolicy) Name() string { return "PAR-BS" }
 
-// OnEnqueue implements memctrl.Policy.
-func (*PARBSPolicy) OnEnqueue(*memctrl.Request, uint64) {}
-
 // OnComplete implements memctrl.Policy: a served batched request
 // shrinks the batch.
 func (p *PARBSPolicy) OnComplete(r *memctrl.Request, _ uint64) {
@@ -180,22 +177,4 @@ func less(a, b [4]int) bool {
 		}
 	}
 	return false
-}
-
-// pickFRFCFS applies FR-FCFS selection; shared by policies that fall
-// back to it for write drains.
-func pickFRFCFS(v *memctrl.View) int {
-	best := -1
-	bestHit := false
-	for i := range v.Options {
-		opt := &v.Options[i]
-		switch {
-		case best == -1,
-			opt.RowHit && !bestHit,
-			opt.RowHit == bestHit && opt.Req.ID < v.Options[best].Req.ID:
-			best = i
-			bestHit = opt.RowHit
-		}
-	}
-	return best
 }

@@ -206,9 +206,6 @@ func (p *QoSPolicy) slot(r *memctrl.Request) int {
 // Name implements memctrl.Policy.
 func (*QoSPolicy) Name() string { return "QoS" }
 
-// OnEnqueue implements memctrl.Policy.
-func (*QoSPolicy) OnEnqueue(*memctrl.Request, uint64) {}
-
 // OnComplete implements memctrl.Policy: served reads feed the latency
 // observation behind the slowdown estimate.
 func (p *QoSPolicy) OnComplete(r *memctrl.Request, now uint64) {

@@ -89,9 +89,6 @@ func (*RLPolicy) Name() string { return "RL" }
 // write options together every cycle.
 func (*RLPolicy) ConsidersWrites() bool { return true }
 
-// OnEnqueue implements memctrl.Policy.
-func (*RLPolicy) OnEnqueue(*memctrl.Request, uint64) {}
-
 // OnComplete implements memctrl.Policy.
 func (*RLPolicy) OnComplete(*memctrl.Request, uint64) {}
 

@@ -190,11 +190,8 @@ func coreSlot(core, cores int) int {
 }
 
 // noHooks provides no-op hook implementations for policies without
-// enqueue/complete/issue state.
+// completion or clock state.
 type noHooks struct{}
-
-// OnEnqueue implements memctrl.Policy.
-func (noHooks) OnEnqueue(*memctrl.Request, uint64) {}
 
 // OnComplete implements memctrl.Policy.
 func (noHooks) OnComplete(*memctrl.Request, uint64) {}

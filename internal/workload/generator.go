@@ -218,31 +218,34 @@ func (g *Generator) Emitted() uint64 { return g.emitted }
 // IOAgent injects DMA traffic directly at the memory controllers,
 // bypassing the caches (it models device DMA and OS atomic traffic,
 // §4.3). Each burst touches BurstBlocks sequential blocks in a
-// dedicated slice of the stream region.
+// dedicated slice of the stream region, one block per cycle.
+//
+// The agent's random stream is that of a per-cycle injection loop: a
+// silent cycle costs one draw, and a burst start three (the injection
+// draw, the start block and the direction). It makes them a gap ahead:
+// at construction and whenever a burst ends, plan draws every cycle of
+// the coming gap up to and including the next burst start. Next emits
+// only at the planned cycle, and NextEvent reports it, so a simulator
+// can jump over a gap without asking the agent. Planning costs one
+// draw per cycle of the gap.
 type IOAgent struct {
 	prof    IOProfile
 	layout  Layout
 	rand    rng
 	rate    float64 // bursts per cycle
-	pending int     // blocks left in the active burst
-	next    uint64
+	at      uint64  // cycle of the next block; never if none
+	pending int     // blocks left in the burst, the one at `at` included
+	next    uint64  // address of the block at `at`
 	isWrite bool
-
-	// primed records that Scan already consumed a future cycle's
-	// injection decision (and the burst-setup draws): after idleLeft
-	// more silent cycles, the next Next call must replay that decision
-	// instead of drawing again.
-	primed bool
-	// idleLeft counts upcoming cycles whose injection draws Scan has
-	// already consumed and confirmed silent. Next absorbs them one per
-	// call without touching the random stream; Skip consumes them in
-	// bulk when the simulator jumps the clock.
-	idleLeft uint64
 }
 
-// NewIOAgent builds the agent; channels scales the rate when the
-// profile asks for it. Returns nil when the profile has no IO
-// component.
+// never is the NextEvent of an agent that will not emit again; it
+// equals cpu.Never.
+const never = ^uint64(0)
+
+// NewIOAgent builds the agent and plans its first burst from cycle 0;
+// channels scales the rate when the profile asks for it. Returns nil
+// when the profile has no IO component.
 func NewIOAgent(p IOProfile, layout Layout, channels int, seed uint64) *IOAgent {
 	if !p.Enabled {
 		return nil
@@ -251,106 +254,64 @@ func NewIOAgent(p IOProfile, layout Layout, channels int, seed uint64) *IOAgent 
 	if p.ScalesWithChannels {
 		rate *= float64(channels)
 	}
-	return &IOAgent{
+	a := &IOAgent{
 		prof:   p,
 		layout: layout,
 		rand:   newRNG(seed ^ 0xd1b54a32d192ed03),
 		rate:   rate,
 	}
+	a.plan(0)
+	return a
 }
 
-// Next returns the DMA block to issue this cycle, if any. The second
-// result reports whether a request was produced; the third whether it
-// is a write.
-func (a *IOAgent) Next() (addr uint64, ok, write bool) {
-	if a.idleLeft > 0 {
-		// Scan already drew this cycle's decision: silent.
-		a.idleLeft--
-		return 0, false, false
+// plan makes the injection draws of cycles from, from+1, ... up to the
+// first that starts a burst, then that burst's start-block and
+// direction draws, and sets at to the burst's first cycle. An agent
+// that cannot emit (a rate <= 0, or bursts of no blocks) plans no
+// cycle and draws nothing.
+func (a *IOAgent) plan(from uint64) {
+	if a.rate <= 0 || a.prof.BurstBlocks <= 0 {
+		a.at = never
+		return
 	}
-	if a.primed {
-		// Replay the burst start Scan pre-drew; mirrors the fresh-burst
-		// branch below exactly.
-		a.primed = false
-		if a.pending > 0 {
-			a.pending--
-			addr = a.next
-			a.next += blockBytes
-			return addr, true, a.isWrite
-		}
-		return 0, false, false
+	for a.rand.float() >= a.rate {
+		from++
 	}
-	if a.pending > 0 {
-		a.pending--
-		addr = a.next
-		a.next += blockBytes
-		if a.next >= a.layout.ColdBase {
-			a.next = a.layout.StreamBase
-		}
-		return addr, true, a.isWrite
-	}
-	if a.rand.float() >= a.rate {
-		return 0, false, false
-	}
+	a.at = from
 	a.pending = a.prof.BurstBlocks
 	a.next = a.layout.StreamBase + blockAlign(a.rand.intn(a.layout.StreamSize))
 	a.isWrite = a.rand.float() < a.prof.WriteFraction
-	if a.pending > 0 {
-		a.pending--
-		addr = a.next
-		a.next += blockBytes
-		return addr, true, a.isWrite
-	}
-	return 0, false, false
 }
 
-// Scan consumes the per-cycle injection decisions for up to n upcoming
-// cycles without emitting requests, so a fast-forwarding simulator can
-// jump over cycles in which the agent stays silent while keeping the
-// random stream bit-identical to the per-cycle Next loop. It returns
-// the number of leading cycles confirmed silent and whether the cycle
-// after them fires. When it fires, the burst-setup draws have already
-// been made; the Next call for that cycle replays them via primed.
-// A result of (0, true) means the current cycle itself emits and no
-// cycle may be skipped.
-//
-// The confirmed-silent window is remembered (idleLeft), so a jump
-// shorter than the window — forced by another agent or component in a
-// multi-tenant system — is safe: the caller reports the cycles it
-// actually skipped via Skip, and Next absorbs the remainder one cycle
-// at a time without re-drawing. Repeated Scans extend the window
-// rather than re-consuming draws.
-func (a *IOAgent) Scan(n uint64) (idle uint64, fired bool) {
-	if a.primed {
-		// A fire is already staged (pending/next/isWrite drawn); it
-		// lands after the remaining confirmed-silent cycles.
-		if a.idleLeft >= n {
-			return n, false
-		}
-		return a.idleLeft, true
-	}
-	if a.pending > 0 {
-		return 0, true
-	}
-	for a.idleLeft < n {
-		if a.rand.float() < a.rate {
-			a.pending = a.prof.BurstBlocks
-			a.next = a.layout.StreamBase + blockAlign(a.rand.intn(a.layout.StreamSize))
-			a.isWrite = a.rand.float() < a.prof.WriteFraction
-			a.primed = true
-			return a.idleLeft, true
-		}
-		a.idleLeft++
-	}
-	return n, false
-}
+// NextEvent returns the cycle of the agent's next block, or
+// ^uint64(0) (cpu.Never) if it will not emit again. The result is at
+// or after now as long as every earlier planned cycle was passed to
+// Next.
+func (a *IOAgent) NextEvent(now uint64) uint64 { return a.at }
 
-// Skip consumes n cycles of the confirmed-silent window established by
-// Scan, mirroring a clock jump of n cycles. n must not exceed the idle
-// count the preceding Scan reported.
-func (a *IOAgent) Skip(n uint64) {
-	if n > a.idleLeft {
-		panic("workload: IOAgent.Skip beyond the scanned idle window")
+// Next returns the DMA block to issue at cycle now, if any. The second
+// result reports whether a request was produced; the third whether it
+// is a write. Only NextEvent's cycle emits, and the caller must not let
+// the clock pass it without calling Next there.
+func (a *IOAgent) Next(now uint64) (addr uint64, ok, write bool) {
+	if now < a.at {
+		return 0, false, false
 	}
-	a.idleLeft -= n
+	if now > a.at {
+		panic("workload: IOAgent.Next called past its planned cycle")
+	}
+	addr, write = a.next, a.isWrite
+	a.next += blockBytes
+	// A burst's first block is not wrap-checked, so a burst that
+	// starts at the stream region's last block emits ColdBase second.
+	if a.pending < a.prof.BurstBlocks && a.next >= a.layout.ColdBase {
+		a.next = a.layout.StreamBase
+	}
+	a.pending--
+	if a.pending > 0 {
+		a.at = now + 1
+	} else {
+		a.plan(now + 1)
+	}
+	return addr, true, write
 }

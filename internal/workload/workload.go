@@ -19,7 +19,10 @@
 // analytically from the calibration targets; see Profile.Derived.
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // OpKind classifies one instruction of the synthetic stream.
 type OpKind uint8
@@ -185,6 +188,17 @@ func (p Profile) Validate() error {
 	}
 	if p.HotBytesPerCore == 0 || p.StreamBytes == 0 || p.ColdBytes == 0 {
 		return fmt.Errorf("workload %s: all region sizes must be non-zero", p.Acronym)
+	}
+	if io := p.IO; io.Enabled {
+		if r := io.BurstsPerMCycle; math.IsNaN(r) || math.IsInf(r, 0) || r <= 0 {
+			return fmt.Errorf("workload %s: IO.BurstsPerMCycle %v must be finite and positive", p.Acronym, r)
+		}
+		if io.BurstBlocks <= 0 {
+			return fmt.Errorf("workload %s: IO.BurstBlocks must be positive", p.Acronym)
+		}
+		if w := io.WriteFraction; math.IsNaN(w) || w < 0 || w > 1 {
+			return fmt.Errorf("workload %s: IO.WriteFraction %v out of [0,1]", p.Acronym, w)
+		}
 	}
 	return nil
 }

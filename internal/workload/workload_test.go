@@ -211,7 +211,7 @@ func TestIOAgentRateScalesWithChannels(t *testing.T) {
 		a := NewIOAgent(p.IO, layout, channels, 99)
 		n := 0
 		for i := 0; i < 2_000_000; i++ {
-			if _, ok, _ := a.Next(); ok {
+			if _, ok, _ := a.Next(uint64(i)); ok {
 				n++
 			}
 		}
@@ -233,7 +233,7 @@ func TestIOAgentBurstsSequential(t *testing.T) {
 	var prev uint64
 	var seq, total int
 	for i := 0; i < 3_000_000 && total < 2000; i++ {
-		addr, ok, _ := a.Next()
+		addr, ok, _ := a.Next(uint64(i))
 		if !ok {
 			prev = 0
 			continue
@@ -254,6 +254,13 @@ func TestIOAgentBurstsSequential(t *testing.T) {
 
 func TestValidateRejectsBrokenProfiles(t *testing.T) {
 	base := DataServing()
+	// withIO gives the profile Media Streaming's DMA agent, then breaks it.
+	withIO := func(mutate func(*IOProfile)) func(*Profile) {
+		return func(p *Profile) {
+			p.IO = MediaStreaming().IO
+			mutate(&p.IO)
+		}
+	}
 	mutations := []func(*Profile){
 		func(p *Profile) { p.Cores = 0 },
 		func(p *Profile) { p.MemRefsPerKiloInstr = 0 },
@@ -266,6 +273,20 @@ func TestValidateRejectsBrokenProfiles(t *testing.T) {
 		func(p *Profile) { p.MLPLimit = 0 },
 		func(p *Profile) { p.CoreIntensity = nil },
 		func(p *Profile) { p.ColdBytes = 0 },
+		withIO(func(io *IOProfile) { io.BurstsPerMCycle = math.NaN() }),
+		withIO(func(io *IOProfile) { io.BurstsPerMCycle = math.Inf(1) }),
+		withIO(func(io *IOProfile) { io.BurstsPerMCycle = 0 }),
+		withIO(func(io *IOProfile) { io.BurstsPerMCycle = -40 }),
+		withIO(func(io *IOProfile) { io.BurstBlocks = 0 }),
+		withIO(func(io *IOProfile) { io.BurstBlocks = -1 }),
+		withIO(func(io *IOProfile) { io.WriteFraction = -0.1 }),
+		withIO(func(io *IOProfile) { io.WriteFraction = 1.5 }),
+		withIO(func(io *IOProfile) { io.WriteFraction = math.NaN() }),
+	}
+	sound := base
+	withIO(func(*IOProfile) {})(&sound)
+	if err := sound.Validate(); err != nil {
+		t.Fatalf("unbroken DMA agent rejected: %v", err)
 	}
 	for i, mutate := range mutations {
 		p := base
