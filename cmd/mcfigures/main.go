@@ -50,15 +50,22 @@ func main() {
 	}
 	cfg.Parallelism = *par
 
+	build := (*experiment.Study).All
+	if *only != "" {
+		one, err := experiment.Artifact(*only)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		build = func(s *experiment.Study) []*experiment.Table { return []*experiment.Table{one(s)} }
+	}
+
 	study := experiment.NewStudy(cfg)
 	start := time.Now()
-	tables := study.All()
+	tables := build(study)
 	elapsed := time.Since(start)
 
 	for _, t := range tables {
-		if *only != "" && t.ID != *only {
-			continue
-		}
 		fmt.Println(t.Render())
 		if *csvDir != "" {
 			name := strings.ToLower(strings.ReplaceAll(t.ID, " ", "_")) + ".csv"

@@ -1,9 +1,9 @@
 // Command mclint runs the repository's determinism- and
 // lifetime-invariant analyzer suite (internal/lint: maprange,
-// nodeterm, horizonarm, groupsync, freelive, hotalloc) over the named
-// package patterns and exits non-zero on any finding. The
-// interprocedural analyzers share one module-wide call graph
-// (internal/lint/callgraph), built once per run.
+// nodeterm, freelive, hotalloc) over the named package patterns and
+// exits non-zero on any finding. freelive and hotalloc share one
+// module-wide call graph (internal/lint/callgraph), built once per
+// run.
 //
 // Usage:
 //

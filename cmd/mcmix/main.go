@@ -38,6 +38,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -101,6 +102,15 @@ func main() {
 	}
 	if *gen < 0 {
 		die(fmt.Errorf("mcmix: -gen %d must be positive", *gen))
+	}
+	if s := *slo; math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
+		die(fmt.Errorf("mcmix: -slo %v must be finite and non-negative (0 = scheduler default)", s))
+	}
+	if *obsInterval == 0 {
+		die(fmt.Errorf("mcmix: -obs-interval %d must be positive", *obsInterval))
+	}
+	if *cycles == 0 {
+		die(fmt.Errorf("mcmix: -cycles %d must be positive", *cycles))
 	}
 	if *gen > 0 {
 		generated, err := tenant.GenerateMixes(*seed, *gen, *mixsize)

@@ -56,6 +56,9 @@ func main() {
 		os.Exit(1)
 	}
 
+	if *obsInterval == 0 {
+		die(fmt.Errorf("mcsim: -obs-interval %d must be positive", *obsInterval))
+	}
 	prof, err := workload.ByAcronym(*wl)
 	if err != nil {
 		die(err)

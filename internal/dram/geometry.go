@@ -11,6 +11,11 @@
 // All times are expressed in controller clock cycles. The simulator
 // runs the controller at the CPU clock; datasheet values given in DRAM
 // bus cycles are converted with Timing.ScaleFrom.
+//
+// Refresh is not modelled: there is no tREFI or tRFC, no REF command,
+// and no bank is ever blocked or has its row closed by a refresh.
+// Absolute latencies and bandwidths therefore include no refresh
+// stalls.
 package dram
 
 import "fmt"

@@ -111,6 +111,31 @@ func TestTable4UsesMappingNames(t *testing.T) {
 	}
 }
 
+// TestArtifactsMatchTheirTables builds every artifact on a very short
+// study and checks that each list entry's ID is the ID of the table it
+// builds, and that Artifact finds a listed ID and rejects an unknown
+// one.
+func TestArtifactsMatchTheirTables(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.MeasureCycles, cfg.WarmupCycles = 2_000, 500
+	s := NewStudy(cfg)
+	all := s.All()
+	if len(all) != 15 {
+		t.Fatalf("All returned %d artifacts, want 15", len(all))
+	}
+	for i, tbl := range all {
+		if artifacts[i].id != tbl.ID {
+			t.Errorf("artifact %d is listed as %q but builds %q", i, artifacts[i].id, tbl.ID)
+		}
+	}
+	if build, err := Artifact("Table 4"); err != nil || build(s).ID != "Table 4" {
+		t.Errorf("Artifact(\"Table 4\") did not build Table 4 (err %v)", err)
+	}
+	if _, err := Artifact("Figure 99"); err == nil || !strings.Contains(err.Error(), "Figure 14") {
+		t.Errorf("Artifact(\"Figure 99\") = %v, want an error listing the valid IDs", err)
+	}
+}
+
 func TestRenderAndCSV(t *testing.T) {
 	s := NewStudy(tinyConfig())
 	tbl := s.Figure01()

@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
+	"strings"
 
 	"cloudmc/internal/addrmap"
 	"cloudmc/internal/core"
@@ -291,13 +293,45 @@ func (s *Study) Table4() *Table {
 	}
 }
 
+// artifact is one figure or table of the paper's evaluation: its ID
+// and the Study method that builds it.
+type artifact struct {
+	id    string
+	build func(*Study) *Table
+}
+
+// artifacts lists every figure and table in paper order.
+var artifacts = []artifact{
+	{"Figure 1", (*Study).Figure01}, {"Figure 2", (*Study).Figure02},
+	{"Figure 3", (*Study).Figure03}, {"Figure 4", (*Study).Figure04},
+	{"Figure 5", (*Study).Figure05}, {"Figure 6", (*Study).Figure06},
+	{"Figure 7", (*Study).Figure07}, {"Figure 8", (*Study).Figure08},
+	{"Figure 9", (*Study).Figure09}, {"Figure 10", (*Study).Figure10},
+	{"Figure 11", (*Study).Figure11}, {"Figure 12", (*Study).Figure12},
+	{"Figure 13", (*Study).Figure13}, {"Figure 14", (*Study).Figure14},
+	{"Table 4", (*Study).Table4},
+}
+
 // All renders every figure and table in paper order.
 func (s *Study) All() []*Table {
-	return []*Table{
-		s.Figure01(), s.Figure02(), s.Figure03(), s.Figure04(),
-		s.Figure05(), s.Figure06(), s.Figure07(), s.Figure08(),
-		s.Figure09(), s.Figure10(), s.Figure11(),
-		s.Figure12(), s.Figure13(), s.Figure14(),
-		s.Table4(),
+	tables := make([]*Table, len(artifacts))
+	for i, a := range artifacts {
+		tables[i] = a.build(s)
 	}
+	return tables
+}
+
+// Artifact returns the Study method that builds the figure or table
+// with the given ID ("Figure 1", ..., "Table 4"), so a caller can
+// reject an unknown ID before simulating anything and then render
+// only that artifact.
+func Artifact(id string) (func(*Study) *Table, error) {
+	valid := make([]string, len(artifacts))
+	for i, a := range artifacts {
+		if a.id == id {
+			return a.build, nil
+		}
+		valid[i] = a.id
+	}
+	return nil, fmt.Errorf("experiment: unknown artifact %q (valid: %s)", id, strings.Join(valid, ", "))
 }

@@ -18,8 +18,8 @@ import (
 
 // Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //mclint:allow directives. It must be a valid Go identifier.
+	// Name identifies the analyzer in diagnostics. It must be a valid
+	// Go identifier.
 	Name string
 	// Doc is the one-paragraph description printed by mclint -help.
 	Doc string
@@ -34,12 +34,11 @@ type Diagnostic struct {
 }
 
 // PackageInfo describes one source-loaded package of the current run.
-// Drivers that load several packages publish all of them on every Pass
+// lint.Run and analysistest.Run publish all of them on every Pass
 // (AllPackages) so module-wide analyses — the interprocedural call
 // graph, cross-package reachability — can see past the single package
 // a Pass presents.
 type PackageInfo struct {
-	PkgPath   string
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
@@ -57,23 +56,12 @@ func NewCache() *Cache { return &Cache{m: make(map[string]interface{})} }
 
 // Get returns the cached value for key.
 func (c *Cache) Get(key string) (interface{}, bool) {
-	if c == nil || c.m == nil {
-		return nil, false
-	}
 	v, ok := c.m[key]
 	return v, ok
 }
 
 // Put stores v under key.
-func (c *Cache) Put(key string, v interface{}) {
-	if c == nil {
-		return
-	}
-	if c.m == nil {
-		c.m = make(map[string]interface{})
-	}
-	c.m[key] = v
-}
+func (c *Cache) Put(key string, v interface{}) { c.m[key] = v }
 
 // Pass presents one type-checked package to an Analyzer.
 type Pass struct {
@@ -84,13 +72,11 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	// AllPackages lists every source-loaded package of the run,
-	// including the one this Pass presents. Nil when the driver loads
-	// one package at a time; module-wide analyses degrade to
-	// single-package scope in that case.
+	// including the one this Pass presents.
 	AllPackages []*PackageInfo
 
 	// Cache is the run-wide memo shared across packages and analyzers
-	// of one driver run (may be nil for ad-hoc passes).
+	// of one run.
 	Cache *Cache
 
 	// Report delivers one diagnostic to the driver.
@@ -187,9 +173,7 @@ func (p *Pass) fileOf(pos token.Pos) *ast.File {
 
 // Suppressed reports whether node carries directive d: an
 // "//mclint:<d>" comment ending on the node's first line or on the
-// line immediately above it (which covers doc comments). The generic
-// escape hatch "allow <analyzer>" is honored for every analyzer in
-// addition to any analyzer-specific directive.
+// line immediately above it (which covers doc comments).
 func (p *Pass) Suppressed(node ast.Node, d string) bool {
 	f := p.fileOf(node.Pos())
 	if f == nil {
@@ -199,7 +183,7 @@ func (p *Pass) Suppressed(node ast.Node, d string) bool {
 	line := p.Fset.Position(node.Pos()).Line
 	for _, l := range []int{line, line - 1} {
 		for _, got := range m[l] {
-			if got == d || got == "allow "+p.Analyzer.Name {
+			if got == d {
 				return true
 			}
 		}

@@ -49,7 +49,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	all := make([]*analysis.PackageInfo, len(pkgs))
 	for i, pkg := range pkgs {
 		all[i] = &analysis.PackageInfo{
-			PkgPath:   pkg.PkgPath,
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,

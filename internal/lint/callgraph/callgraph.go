@@ -7,21 +7,17 @@
 // interface sets the analyzers care about (memctrl.Policy, obs.Sink,
 // memctrl.CommandTrace).
 //
-// Before this package existed, horizonarm and groupsync each
-// hand-rolled their own same-package call-closure walk; they now
-// collect only their domain facts per function body and delegate
-// callee resolution and reachability (Closure) here. The graph is
-// built once per driver run and memoized in the run-wide
-// analysis.Cache, so the module-wide analyzers (hotalloc) and the
-// per-package ones share one construction.
+// hotalloc walks the graph from its //mclint:hotpath roots (Nodes,
+// Closure, PackageNodes); freelive asks it for the implementations of
+// the interfaces that receive recycled pointers (Implementations). The
+// graph is built once per lint run and memoized in the run-wide
+// analysis.Cache, so both analyzers share one construction.
 //
 // Resolution is first-order and static: a call edge exists when the
 // callee identifier resolves to a *types.Func whose declaration is in
 // one of the run's source-loaded packages. Interface method calls,
 // function-typed fields and variables resolve to no node — they are
-// deliberate closure boundaries (Implementations exposes the method
-// sets behind the registered interfaces for analyzers that want to
-// reason across that boundary explicitly).
+// deliberate closure boundaries.
 package callgraph
 
 import (
@@ -32,25 +28,6 @@ import (
 	"cloudmc/internal/lint/analysis"
 )
 
-// Call is one static call site inside a node's body (function
-// literals included).
-type Call struct {
-	// Site is the call expression.
-	Site *ast.CallExpr
-	// Name is the called identifier or selector name ("" when the
-	// callee expression is itself a call or other non-name form).
-	Name string
-	// Fn is the resolved callee object, when the identifier resolves
-	// to a function or method (including interface methods and
-	// functions outside the run's packages). Nil for builtins and
-	// dynamic calls.
-	Fn *types.Func
-	// Callee is the graph node for Fn when its declaration is in one
-	// of the run's source-loaded packages; nil otherwise (interface
-	// methods, imported-only packages, builtins, dynamic calls).
-	Callee *Node
-}
-
 // Node is one declared function or method.
 type Node struct {
 	// Func is the declared object, from its home package's
@@ -58,20 +35,12 @@ type Node struct {
 	Func *types.Func
 	// Decl is the declaration; Decl.Body is non-nil for every node.
 	Decl *ast.FuncDecl
-	// Pkg and Info are the home package and its type info.
-	Pkg  *types.Package
-	Info *types.Info
-	// PkgPath is the home package's raw import path.
-	PkgPath string
 	// Directives are the mclint directives attached to the
 	// declaration (trailing comment on its first line, or the line
 	// above — which covers doc comments), justifications stripped.
 	Directives []string
-	// Calls lists every static call site in the body, in source
-	// order, function literals attributed to this declaration.
-	Calls []Call
 	// Callees are the distinct nodes this body calls, in first-call
-	// order.
+	// order, function literals attributed to this declaration.
 	Callees []*Node
 }
 
@@ -86,57 +55,36 @@ func (n *Node) HasDirective(d string) bool {
 	return false
 }
 
-// Name returns the function's name (methods unqualified).
-func (n *Node) Name() string { return n.Func.Name() }
-
 // Graph is the module-wide call graph of one driver run.
 type Graph struct {
-	fset   *token.FileSet
-	order  []*Node // deterministic: package, file, declaration order
-	byName map[string]*Node
-	byDecl map[*ast.FuncDecl]*Node
-	byPkg  map[*types.Package][]*Node
-	pkgs   []*analysis.PackageInfo
+	order []*Node // deterministic: package, file, declaration order
+	byPkg map[*types.Package][]*Node
+	pkgs  []*analysis.PackageInfo
 }
 
 // cacheKey keys the memoized graph in the run-wide analysis.Cache.
 const cacheKey = "callgraph"
 
-// Of returns the call graph for pass's run, building it on first use
-// and memoizing it in pass.Cache. When the driver published no
-// AllPackages (single-package passes), the graph covers just the
-// pass's own package — same-package edges still resolve, cross-package
-// edges dangle.
+// Of returns the call graph over pass.AllPackages, building it on
+// first use and memoizing it in pass.Cache.
 func Of(pass *analysis.Pass) *Graph {
 	if v, ok := pass.Cache.Get(cacheKey); ok {
 		return v.(*Graph)
 	}
-	pkgs := pass.AllPackages
-	if pkgs == nil {
-		pkgs = []*analysis.PackageInfo{{
-			PkgPath:   pass.Pkg.Path(),
-			Files:     pass.Files,
-			Pkg:       pass.Pkg,
-			TypesInfo: pass.TypesInfo,
-		}}
-	}
-	g := Build(pass.Fset, pkgs)
+	g := build(pass.Fset, pass.AllPackages)
 	pass.Cache.Put(cacheKey, g)
 	return g
 }
 
-// Build constructs the graph over pkgs, which must share fset.
-func Build(fset *token.FileSet, pkgs []*analysis.PackageInfo) *Graph {
-	g := &Graph{
-		fset:   fset,
-		byName: make(map[string]*Node),
-		byDecl: make(map[*ast.FuncDecl]*Node),
-		byPkg:  make(map[*types.Package][]*Node),
-		pkgs:   pkgs,
-	}
-	// First pass: one node per declared function body, directives
-	// attached; keyed by FullName so a *types.Func from an importing
-	// package's universe resolves to the home package's node.
+// build constructs the graph over pkgs, which must share fset.
+func build(fset *token.FileSet, pkgs []*analysis.PackageInfo) *Graph {
+	g := &Graph{byPkg: make(map[*types.Package][]*Node), pkgs: pkgs}
+	// One node per declared function body, directives attached; keyed
+	// by FullName so a *types.Func from an importing package's
+	// universe resolves to the home package's node. infos[i] is the
+	// type info of g.order[i]'s package.
+	byName := make(map[string]*Node)
+	var infos []*types.Info
 	for _, p := range pkgs {
 		for _, f := range p.Files {
 			directives := analysis.DirectiveLines(fset, f)
@@ -149,48 +97,38 @@ func Build(fset *token.FileSet, pkgs []*analysis.PackageInfo) *Graph {
 				if !ok {
 					continue
 				}
-				n := &Node{
-					Func:    obj,
-					Decl:    fd,
-					Pkg:     p.Pkg,
-					Info:    p.TypesInfo,
-					PkgPath: p.PkgPath,
-				}
+				n := &Node{Func: obj, Decl: fd}
 				line := fset.Position(fd.Pos()).Line
 				for _, l := range []int{line - 1, line} {
 					n.Directives = append(n.Directives, directives[l]...)
 				}
 				g.order = append(g.order, n)
-				g.byName[obj.FullName()] = n
-				g.byDecl[fd] = n
+				byName[obj.FullName()] = n
+				infos = append(infos, p.TypesInfo)
 				g.byPkg[p.Pkg] = append(g.byPkg[p.Pkg], n)
 			}
 		}
 	}
-	// Second pass: call sites and edges.
-	for _, n := range g.order {
+	// Edges, in one walk of each body.
+	for i, n := range g.order {
 		seen := make(map[*Node]bool)
 		ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
 			call, ok := node.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			c := Call{Site: call}
+			var id *ast.Ident
 			switch fun := call.Fun.(type) {
 			case *ast.Ident:
-				c.Name = fun.Name
-				c.Fn, _ = n.Info.Uses[fun].(*types.Func)
+				id = fun
 			case *ast.SelectorExpr:
-				c.Name = fun.Sel.Name
-				c.Fn, _ = n.Info.Uses[fun.Sel].(*types.Func)
+				id = fun.Sel
 			}
-			if c.Fn != nil {
-				c.Callee = g.byName[c.Fn.FullName()]
-			}
-			n.Calls = append(n.Calls, c)
-			if c.Callee != nil && !seen[c.Callee] {
-				seen[c.Callee] = true
-				n.Callees = append(n.Callees, c.Callee)
+			if fn, ok := infos[i].Uses[id].(*types.Func); ok {
+				if callee := byName[fn.FullName()]; callee != nil && !seen[callee] {
+					seen[callee] = true
+					n.Callees = append(n.Callees, callee)
+				}
 			}
 			return true
 		})
@@ -205,29 +143,10 @@ func (g *Graph) Nodes() []*Node { return g.order }
 // PackageNodes returns pkg's nodes in declaration order.
 func (g *Graph) PackageNodes(pkg *types.Package) []*Node { return g.byPkg[pkg] }
 
-// DeclNode returns the node for a declaration from one of the run's
-// packages, or nil.
-func (g *Graph) DeclNode(fd *ast.FuncDecl) *Node { return g.byDecl[fd] }
-
-// NodeOf resolves a function object — from any package universe of
-// the run — to its node, or nil when its declaration is not in the
-// run's packages.
-func (g *Graph) NodeOf(fn *types.Func) *Node {
-	if fn == nil {
-		return nil
-	}
-	return g.byName[fn.FullName()]
-}
-
 // Closure walks the static call closure of root depth-first in
 // first-call order, calling visit once per reached node (root
-// included). Returning false prunes the walk below that node: its
-// callees are not entered through it (they may still be reached on
-// another path).
-func (g *Graph) Closure(root *Node, visit func(*Node) bool) {
-	if root == nil {
-		return
-	}
+// included).
+func (g *Graph) Closure(root *Node, visit func(*Node)) {
 	visited := make(map[*Node]bool)
 	var walk func(n *Node)
 	walk = func(n *Node) {
@@ -235,9 +154,7 @@ func (g *Graph) Closure(root *Node, visit func(*Node) bool) {
 			return
 		}
 		visited[n] = true
-		if !visit(n) {
-			return
-		}
+		visit(n)
 		for _, c := range n.Callees {
 			walk(c)
 		}

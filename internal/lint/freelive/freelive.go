@@ -461,10 +461,9 @@ func (c *checker) checkImplementations() {
 	}
 }
 
-// ownsIndex answers "does the declaration at pos carry //mclint:owns
-// (or allow freelive)?" across every source-loaded file of the run —
-// field declarations may live in a different file or package than the
-// store being checked.
+// ownsIndex answers "does the declaration at pos carry //mclint:owns?"
+// across every source-loaded file of the run — field declarations may
+// live in a different file or package than the store being checked.
 type ownsIndex struct {
 	fset  *token.FileSet
 	files []*ast.File
@@ -473,12 +472,8 @@ type ownsIndex struct {
 
 func newOwnsIndex(pass *analysis.Pass) *ownsIndex {
 	ix := &ownsIndex{fset: pass.Fset, memo: make(map[*ast.File]map[int][]string)}
-	if pass.AllPackages != nil {
-		for _, p := range pass.AllPackages {
-			ix.files = append(ix.files, p.Files...)
-		}
-	} else {
-		ix.files = pass.Files
+	for _, p := range pass.AllPackages {
+		ix.files = append(ix.files, p.Files...)
 	}
 	return ix
 }
@@ -507,7 +502,7 @@ func (ix *ownsIndex) at(pos token.Pos) bool {
 	line := ix.fset.Position(pos).Line
 	for _, l := range []int{line, line - 1} {
 		for _, d := range m[l] {
-			if d == "owns" || d == "allow freelive" {
+			if d == "owns" {
 				return true
 			}
 		}

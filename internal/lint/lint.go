@@ -1,16 +1,13 @@
 // Package lint assembles the mclint determinism-invariant analyzer
-// suite of six analyzers: maprange (no map-iteration order leaks),
-// nodeterm (no ambient nondeterminism sources), horizonarm (memctrl
-// entry points that grow a request queue re-establish the
-// controller's event horizon), groupsync (memctrl queue-membership
-// mutations update the incremental candidate-group index), freelive
-// (no pointer to a free-listed object survives its recycle point),
-// hotalloc (//mclint:hotpath closures stay allocation-free). The
-// interprocedural analyzers share one module-wide call graph
-// (internal/lint/callgraph), built once per run. cmd/mclint drives
-// the suite over package patterns; selfcheck_test.go keeps the module
-// clean from `go test ./...`; the testdata/broken fixtures prove each
-// analyzer still fires.
+// suite of four analyzers: maprange (no map-iteration order leaks),
+// nodeterm (no ambient nondeterminism sources), freelive (no pointer
+// to a free-listed object survives its recycle point), hotalloc
+// (//mclint:hotpath closures stay allocation-free). freelive and
+// hotalloc share one module-wide call graph (internal/lint/callgraph),
+// built once per run. cmd/mclint drives the suite over package
+// patterns; selfcheck_test.go keeps the module clean from
+// `go test ./...`; the testdata/broken fixtures prove each analyzer
+// still fires.
 package lint
 
 import (
@@ -19,8 +16,6 @@ import (
 
 	"cloudmc/internal/lint/analysis"
 	"cloudmc/internal/lint/freelive"
-	"cloudmc/internal/lint/groupsync"
-	"cloudmc/internal/lint/horizonarm"
 	"cloudmc/internal/lint/hotalloc"
 	"cloudmc/internal/lint/loader"
 	"cloudmc/internal/lint/maprange"
@@ -32,8 +27,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		maprange.Analyzer,
 		nodeterm.Analyzer,
-		horizonarm.Analyzer,
-		groupsync.Analyzer,
 		freelive.Analyzer,
 		hotalloc.Analyzer,
 	}
@@ -65,7 +58,6 @@ func Run(dir string, patterns ...string) ([]Finding, error) {
 	all := make([]*analysis.PackageInfo, len(pkgs))
 	for i, pkg := range pkgs {
 		all[i] = &analysis.PackageInfo{
-			PkgPath:   pkg.PkgPath,
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,

@@ -77,9 +77,6 @@ func run(pass *analysis.Pass) error {
 			if !ok || !names[fn.Name()] {
 				return true
 			}
-			if pass.Suppressed(sel, "allow nodeterm") {
-				return true
-			}
 			pass.Reportf(sel.Pos(), "%s.%s injects ambient nondeterminism into a simulation package; "+
 				"derive the value from Config, seeds, or the simulated clock", fn.Pkg().Path(), fn.Name())
 			return true

@@ -1,6 +1,6 @@
 // Package ndet is the nodeterm analyzer fixture: each ambient
 // nondeterminism source fires once, while explicitly seeded
-// generators, methods on *rand.Rand, and justified uses stay silent.
+// generators and methods on *rand.Rand stay silent.
 package ndet
 
 import (
@@ -38,12 +38,6 @@ func lookup() (string, bool) {
 func seeded(seed int64) int {
 	r := rand.New(rand.NewSource(seed))
 	return r.Intn(10)
-}
-
-// justified demonstrates the generic escape hatch.
-func justified() string {
-	//mclint:allow nodeterm -- fixture demonstrates the escape hatch
-	return os.Getenv("HOME")
 }
 
 // timeValues shows that using time *types* (not the wall clock) is

@@ -1,59 +1,21 @@
 // Package memctrl is a deliberately-broken fixture: the CI smoke step
-// runs mclint over it and asserts horizonarm, groupsync, freelive
-// (the un-annotated readQ stores below) and hotalloc fire. It must
-// compile; it must NOT be fixed.
+// runs mclint over it and asserts freelive (the un-annotated readQ
+// stores below) and hotalloc fire. It must compile; it must NOT be
+// fixed.
 package memctrl
 
 // Request is a minimal request.
 type Request struct{ Addr uint64 }
 
-// Controller carries the queues, the horizon and the group index the
-// linters guard.
+// Controller carries the read queue the linters guard.
 type Controller struct {
-	readQ  []*Request
-	writeQ []*Request
-	wakeAt uint64
+	readQ []*Request
 }
 
-func (c *Controller) noteEnqueue(r *Request) { c.wakeAt = 0 }
-
-func (c *Controller) groupRemove(r *Request) {}
-
-// Enqueue grows readQ and never calls noteEnqueue or touches wakeAt:
-// horizonarm must flag this.
+// Enqueue parks a *Request in an un-annotated field: freelive must
+// flag this.
 func (c *Controller) Enqueue(r *Request) {
 	c.readQ = append(c.readQ, r)
-}
-
-// EnqueueArmed keeps noteEnqueue reachable so it is not dead code.
-func (c *Controller) EnqueueArmed(r *Request) {
-	c.readQ = append(c.readQ, r)
-	c.noteEnqueue(r)
-}
-
-// ObsSampleHook mimics an observability hook that drains the read
-// queue into a sample without re-arming the horizon. Observation must
-// never mutate controller state; when it does anyway, horizonarm must
-// flag it like any other exported queue mutation.
-func (c *Controller) ObsSampleHook() int {
-	n := len(c.readQ)
-	c.readQ = c.readQ[:0]
-	return n
-}
-
-// DropWrite shrinks the write queue without filing the removal with
-// the candidate-group index (groupRemove is reachable but never
-// called): groupsync must flag this.
-func (c *Controller) DropWrite() {
-	c.noteEnqueue(nil)
-	c.writeQ = c.writeQ[:len(c.writeQ)-1]
-}
-
-// DropWriteFiled keeps groupRemove reachable so it is not dead code.
-func (c *Controller) DropWriteFiled(r *Request) {
-	c.noteEnqueue(r)
-	c.writeQ = c.writeQ[:len(c.writeQ)-1]
-	c.groupRemove(r)
 }
 
 // Tick is annotated as a hot path but allocates a scratch slice every

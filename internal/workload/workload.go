@@ -158,33 +158,42 @@ type Profile struct {
 }
 
 // Validate reports an error for a profile the generator cannot run.
+// Each float check states the accepted range, so NaN fails it.
 func (p Profile) Validate() error {
 	if p.Cores <= 0 {
 		return fmt.Errorf("workload %s: Cores must be positive", p.Acronym)
 	}
-	if p.MemRefsPerKiloInstr <= 0 || p.MemRefsPerKiloInstr > 1000 {
-		return fmt.Errorf("workload %s: MemRefsPerKiloInstr %.1f out of (0,1000]", p.Acronym, p.MemRefsPerKiloInstr)
+	if r := p.MemRefsPerKiloInstr; !(r > 0 && r <= 1000) {
+		return fmt.Errorf("workload %s: MemRefsPerKiloInstr %.1f out of (0,1000]", p.Acronym, r)
 	}
-	if p.StoreFraction < 0 || p.StoreFraction > 1 {
-		return fmt.Errorf("workload %s: StoreFraction out of [0,1]", p.Acronym)
+	if f := p.StoreFraction; !(f >= 0 && f <= 1) {
+		return fmt.Errorf("workload %s: StoreFraction %v out of [0,1]", p.Acronym, f)
 	}
-	if p.BaseCPI < 1 {
-		return fmt.Errorf("workload %s: BaseCPI %.2f must be >= 1", p.Acronym, p.BaseCPI)
+	if f := p.BurstStoreFraction; !(f >= 0 && f <= 1) {
+		return fmt.Errorf("workload %s: BurstStoreFraction %v out of [0,1] (0 keeps StoreFraction)", p.Acronym, f)
 	}
-	if p.TargetMPKI <= 0 || p.TargetMPKI > p.MemRefsPerKiloInstr {
-		return fmt.Errorf("workload %s: TargetMPKI %.1f out of (0, MemRefs]", p.Acronym, p.TargetMPKI)
+	if c := p.BaseCPI; !(c >= 1) || math.IsInf(c, 1) {
+		return fmt.Errorf("workload %s: BaseCPI %.2f must be finite and >= 1", p.Acronym, c)
 	}
-	if p.TargetRowHit < 0 || p.TargetRowHit >= 1 {
-		return fmt.Errorf("workload %s: TargetRowHit out of [0,1)", p.Acronym)
+	if m := p.TargetMPKI; !(m > 0 && m <= p.MemRefsPerKiloInstr) {
+		return fmt.Errorf("workload %s: TargetMPKI %.1f out of (0, MemRefs]", p.Acronym, m)
 	}
-	if p.TargetSingleAccess <= 0 || p.TargetSingleAccess >= 1 {
-		return fmt.Errorf("workload %s: TargetSingleAccess out of (0,1)", p.Acronym)
+	if h := p.TargetRowHit; !(h >= 0 && h < 1) {
+		return fmt.Errorf("workload %s: TargetRowHit %v out of [0,1)", p.Acronym, h)
+	}
+	if a := p.TargetSingleAccess; !(a > 0 && a < 1) {
+		return fmt.Errorf("workload %s: TargetSingleAccess %v out of (0,1)", p.Acronym, a)
 	}
 	if p.MLPLimit <= 0 {
 		return fmt.Errorf("workload %s: MLPLimit must be positive", p.Acronym)
 	}
 	if len(p.CoreIntensity) == 0 {
 		return fmt.Errorf("workload %s: CoreIntensity must be non-empty", p.Acronym)
+	}
+	for i, x := range p.CoreIntensity {
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return fmt.Errorf("workload %s: CoreIntensity[%d] %v must be finite and >= 0", p.Acronym, i, x)
+		}
 	}
 	if p.HotBytesPerCore == 0 || p.StreamBytes == 0 || p.ColdBytes == 0 {
 		return fmt.Errorf("workload %s: all region sizes must be non-zero", p.Acronym)

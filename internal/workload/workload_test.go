@@ -10,7 +10,7 @@ func TestAllProfilesValidate(t *testing.T) {
 	if len(All()) != 12 {
 		t.Fatalf("expected 12 workloads, got %d", len(All()))
 	}
-	for _, p := range All() {
+	for _, p := range append(All(), MemoryHog()) {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", p.Acronym, err)
 		}
@@ -273,6 +273,18 @@ func TestValidateRejectsBrokenProfiles(t *testing.T) {
 		func(p *Profile) { p.MLPLimit = 0 },
 		func(p *Profile) { p.CoreIntensity = nil },
 		func(p *Profile) { p.ColdBytes = 0 },
+		func(p *Profile) { p.MemRefsPerKiloInstr = math.NaN() },
+		func(p *Profile) { p.StoreFraction = math.NaN() },
+		func(p *Profile) { p.BaseCPI = math.NaN() },
+		func(p *Profile) { p.BaseCPI = math.Inf(1) },
+		func(p *Profile) { p.TargetMPKI = math.NaN() },
+		func(p *Profile) { p.TargetRowHit = math.NaN() },
+		func(p *Profile) { p.TargetSingleAccess = math.NaN() },
+		func(p *Profile) { p.BurstStoreFraction = 1.5 },
+		func(p *Profile) { p.BurstStoreFraction = math.NaN() },
+		// A fresh slice: the built-in profiles share theirs.
+		func(p *Profile) { p.CoreIntensity = []float64{1, math.NaN()} },
+		func(p *Profile) { p.CoreIntensity = []float64{1, -1} },
 		withIO(func(io *IOProfile) { io.BurstsPerMCycle = math.NaN() }),
 		withIO(func(io *IOProfile) { io.BurstsPerMCycle = math.Inf(1) }),
 		withIO(func(io *IOProfile) { io.BurstsPerMCycle = 0 }),
