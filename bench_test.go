@@ -262,7 +262,7 @@ func BenchmarkAblationATLASScanDepth(b *testing.B) {
 // (write-heavy) and BC (high bank-conflict) pin the park-heavy regime
 // the controller park horizons optimize: drain shadows and
 // precharge/tFAW stalls, where controllers spend most cycles parked
-// and enqueues re-arm them.
+// and each enqueue wakes one for a full tick that parks it again.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	ds64 := workload.DataServing()
 	ds64.Cores = 64
@@ -370,16 +370,18 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkControllerParkReArm isolates the controller's enqueue
-// re-arm, without the core/cache simulation that dominates the system
-// benchmarks: a controller parked mid-write-drain (the next precharge
-// is in the tWR shadow, a ~20-cycle window with a known future
-// horizon) receives a burst of read enqueues, the kernel's
-// enqueue-notify pattern applied after each one. Each enqueue files its
-// request into its candidate group, at O(groups in its bank), and must
-// re-arm the park in O(1) (noteEnqueue) rather than reset the horizon
-// to "unknown" and force a full tick. Each timed op is one enqueue
-// plus whatever tick the controller then demands.
+// BenchmarkControllerParkReArm times the enqueue into a parked
+// controller and the wake tick that parks it again, without the
+// core/cache simulation that dominates the system benchmarks: a
+// controller parked mid-write-drain (the next precharge is in the tWR
+// shadow, a ~20-cycle window with a known future horizon) receives a
+// burst of read enqueues, each followed by the tick the kernel step
+// would run. Each enqueue files its request into its candidate group,
+// at O(groups in its bank), and ends the park; the full tick builds no
+// option (reads wait out the drain) and re-parks through idleHorizon.
+// Each timed op is one enqueue plus that tick. It is the one 0
+// allocs/op pin on idleHorizon, since BenchmarkBuildOptions never
+// parks.
 func BenchmarkControllerParkReArm(b *testing.B) {
 	geo := dram.Geometry{Channels: 1, Ranks: 2, Banks: 8, Rows: 1 << 12, Columns: 64, BlockBytes: 64}
 	src := memctrl.Source{Core: 1, Tenant: -1}
@@ -413,7 +415,7 @@ func BenchmarkControllerParkReArm(b *testing.B) {
 	// at exactly 0 allocs/op.
 	b.StopTimer()
 	ctl, now := build()
-	rearm := func(now uint64) uint64 {
+	repark := func(now uint64) uint64 {
 		for ctl.Pending() > 0 {
 			ctl.Tick(now)
 			now++
@@ -435,13 +437,13 @@ func BenchmarkControllerParkReArm(b *testing.B) {
 		loc := dram.Location{Channel: 0, Rank: 1, Bank: j % 8, Row: 100 + j, Column: 1}
 		ctl.EnqueueRead(now, src, uint64(3)<<40|uint64(j)<<8, loc, memctrl.ReadDemand, nil)
 	}
-	now = rearm(now)
+	now = repark(now)
 	i := 0
 	for i < b.N {
 		b.StartTimer()
 		// Up to 48 read enqueues land in the parked cycle (well under
 		// the read-queue cap); reads are invisible during the drain, so
-		// the park must simply survive each one.
+		// each wake tick parks again at the same horizon.
 		for j := 0; j < 48 && i < b.N; j, i = j+1, i+1 {
 			loc := dram.Location{Channel: 0, Rank: 1, Bank: j % 8, Row: 100 + j, Column: 1}
 			ctl.EnqueueRead(now, src, uint64(2)<<40|uint64(i)<<8, loc, memctrl.ReadDemand, nil)
@@ -450,7 +452,7 @@ func BenchmarkControllerParkReArm(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		now = rearm(now)
+		now = repark(now)
 	}
 	b.StartTimer()
 }

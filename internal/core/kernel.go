@@ -25,8 +25,9 @@ import "cloudmc/internal/cpu"
 //     NextEvent(now) lies past now would return from Tick at once, so
 //     the step only folds that value into the jump bound; every other
 //     controller ticks. Enqueues happen earlier in the cycle (the
-//     fill, IO, writeback and core phases) and re-establish the
-//     horizon inside memctrl, so the value read here is current.
+//     fill, IO, writeback and core phases), and a queued request
+//     resets its controller's horizon, so a parked controller that
+//     received one ticks in full this cycle and parks again.
 //   - The fill path's wake-up is the fill queue's head, read after the
 //     controller phase, whose completions schedule fills.
 //   - A DMA agent plans each gap between its bursts ahead, making the

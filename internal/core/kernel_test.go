@@ -196,12 +196,12 @@ func TestKernelChunkedAdvance(t *testing.T) {
 // things after every step. First, the jump bound: nextWake must equal
 // wakeBound's brute-force minimum over every source, so a jump can
 // never pass a wake-up (too late) or stop short of one (too early).
-// Second, every time a controller's park horizon moves (a park, a
-// re-park, or an O(1) re-arm from an enqueue), it replays the parked
-// window cycle by cycle against the raw DRAM legality rules: horizons
-// must be exact — never late (a legal command inside the window would
-// desynchronize the loop modes) and never early (a spurious wake would
-// mask lateness bugs by brute force).
+// Second, every time a controller's park horizon moves (a park, or a
+// re-park after a wake tick), it replays the parked window cycle by
+// cycle against the raw DRAM legality rules: horizons must be exact —
+// never late (a legal command inside the window would desynchronize
+// the loop modes) and never early (a spurious wake would mask lateness
+// bugs by brute force).
 func stepAndAudit(t *testing.T, cfg Config, cycles uint64, label string) {
 	t.Helper()
 	sys, err := NewSystem(cfg)
@@ -333,9 +333,9 @@ func TestParkHorizonExactness(t *testing.T) {
 
 // TestKernelWriteHeavyEquivalence pins the park-heavy regime the
 // park horizons optimize: a write-dominated profile spends most
-// of its time in drain shadows, where enqueues into parked
-// controllers take the O(1) re-arm path. Both loop modes must stay
-// bit-identical through it.
+// of its time in drain shadows, where each enqueue wakes a parked
+// controller for one full tick that parks it again. Both loop modes
+// must stay bit-identical through it.
 func TestKernelWriteHeavyEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paired simulations are slow")

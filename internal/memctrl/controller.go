@@ -204,15 +204,9 @@ type Controller struct {
 	// pending page-policy close, or a timed policy event). While
 	// now < wakeAt and no in-flight transfer completes, Tick is a
 	// provable no-op and returns immediately. Zero means "unknown —
-	// run the full tick". An enqueue into a parked controller usually
-	// lowers it in O(1) (see noteEnqueue) instead of resetting it.
+	// run the full tick". Every enqueue that queues a request resets
+	// it, so queue contents never change inside a parked window.
 	wakeAt uint64
-	// parkMode is the queue-selection mode (modeReads/modeWrites/
-	// modeBoth) the horizon fold used when wakeAt was established by
-	// idleHorizon. It is consulted only while wakeAt > now, which
-	// implies it was recorded by the parking tick (the hot path's
-	// wakeAt = now+1 is already <= now by the time anyone looks).
-	parkMode uint8
 
 	// Candidate-group index (see groups.go): one live entry per
 	// (bankIdx, row), maintained incrementally by the enqueue and
@@ -267,10 +261,9 @@ type Controller struct {
 }
 
 // Queue-selection modes: which queues the controller offers to the
-// policy. consideredQueues, the horizon fold and the enqueue-time
-// projection all derive the mode from the same rules so the event
-// horizon is always "the first cycle an option appears" for the queue
-// set the next full tick will actually consider.
+// policy. The option builders and the horizon fold all take the mode
+// from queueMode, so the event horizon is always "the first cycle an
+// option appears" for the queue set the next full tick will consider.
 const (
 	modeReads uint8 = iota
 	modeWrites
@@ -402,7 +395,10 @@ func (c *Controller) Pending() int {
 // EnqueueRead queues a read. It returns false when the read queue is
 // full; the caller must retry later (modelling backpressure into the
 // cache hierarchy). Reads that match a queued write's address are
-// served by forwarding without touching DRAM.
+// served by forwarding without touching DRAM; they leave a park alone,
+// since NextEvent already reports their completion. A queued read ends
+// any park: the next Tick runs in full, in this same cycle under the
+// kernel, whose controller phase follows every enqueue phase.
 //
 //mclint:hotpath
 func (c *Controller) EnqueueRead(now uint64, src Source, addr uint64, loc dram.Location, kind RequestKind, onDone func(uint64)) bool {
@@ -432,12 +428,13 @@ func (c *Controller) EnqueueRead(now uint64, src Source, addr uint64, loc dram.L
 	c.nextID++
 	c.readQ = append(c.readQ, r)
 	c.groupEnqueue(r)
-	c.noteEnqueue(r, now)
+	c.wakeAt = 0
 	return true
 }
 
 // EnqueueWrite queues a writeback. It returns false when the write
-// queue is full. A write to an address already queued is merged.
+// queue is full. A write to an address already queued is merged and
+// leaves a park alone; a queued write ends it, like a queued read.
 //
 //mclint:hotpath
 func (c *Controller) EnqueueWrite(now uint64, src Source, addr uint64, loc dram.Location, onDone func(uint64)) bool {
@@ -461,7 +458,7 @@ func (c *Controller) EnqueueWrite(now uint64, src Source, addr uint64, loc dram.
 	c.writeQ = append(c.writeQ, r)
 	c.writeByAddr[addr] = r //mclint:alloc-ok -- the map is pre-sized to WriteQueueCap at construction and never holds more than the queue cap, so steady-state writes never grow it
 	c.groupEnqueue(r)
-	c.noteEnqueue(r, now)
+	c.wakeAt = 0
 	return true
 }
 
@@ -513,98 +510,16 @@ func (c *Controller) scheduleCompletion(r *Request, at uint64) {
 	c.inflight[i] = completion{at: at, req: r}
 }
 
-// noteEnqueue re-establishes the event horizon after r entered a
-// queue. Resetting wakeAt to "unknown" would force a full
-// tick — an O(queued requests + ranks×banks) rescan — even when the
-// new request cannot issue for hundreds of cycles (write-drain
-// shadows, tFAW stalls). A parked controller instead re-arms in O(1):
-// existing requests cannot act before the established horizon, the
-// bank state is frozen while parked, so the only new wake-up
-// candidate is the enqueued request's own next command.
-//
-// The fast path requires three things, otherwise it falls back to the
-// full wake-up exactly as before:
-//   - an established horizon (wakeAt > now; a hot controller ticks
-//     this cycle regardless, so nothing is saved or risked);
-//   - no page-policy close pending on r's bank: the full tick after an
-//     enqueue re-validates closes via ShouldClose, and r changes that
-//     bank's context. Every other pending close keeps its context, and
-//     a repeated ShouldClose call with an unchanged context changes no
-//     later answer (the pagepolicy.Policy contract), so skipping the
-//     calls the parked cycles would have made is invisible;
-//   - an unchanged queue-selection mode: a drain-watermark crossing or
-//     an empty-read-queue transition changes which queues the next
-//     tick considers, invalidating the whole established horizon.
-func (c *Controller) noteEnqueue(r *Request, now uint64) {
-	if !c.fastPath || c.wakeAt == 0 || c.wakeAt <= now ||
-		c.pendingClose[r.Loc.Rank*c.ch.Geo.Banks+r.Loc.Bank] || c.projectedMode() != c.parkMode {
-		c.wakeAt = 0
-		return
-	}
-	if c.requestConsidered(r) {
-		if at := c.earliestFor(r); at < c.wakeAt {
-			// at <= now simply makes NextEvent report "due now"; the
-			// full tick then runs this cycle like a reset.
-			c.wakeAt = at
-		}
-	}
-	// The skipped wake-up tick would have sampled the queues; sample
-	// here so the time-weighted trackers see the length change at the
-	// cycle it happened. A tick this cycle re-sets the same values
-	// (zero-width, no double counting).
-	c.Stats.ReadQ.Set(now, float64(len(c.readQ)))
-	c.Stats.WriteQ.Set(now, float64(len(c.writeQ)))
-}
-
-// projectedMode returns the queue-selection mode the next full tick
-// will use: the drain-mode hysteresis applied to the current queue
-// lengths, without mutating writeMode (the flag itself advances only
-// inside Tick, which sees the same lengths — queue contents cannot
-// change between this projection and that tick without another
-// projection running).
-func (c *Controller) projectedMode() uint8 {
-	return c.modeFor(c.advanceDrainFlag(c.writeMode), considersWrites(c.policy))
-}
-
-// advanceDrainFlag applies the write-drain watermark hysteresis to wm
-// under the current queue lengths, without writing it back. Tick's
-// step 3 commits the result; projectedMode only peeks at it — both
-// must apply the same rule, so it lives here once.
-func (c *Controller) advanceDrainFlag(wm bool) bool {
-	if !wm && len(c.writeQ) >= c.cfg.WriteHi {
-		return true
-	}
-	if wm && len(c.writeQ) <= c.cfg.WriteLo {
-		return false
-	}
-	return wm
-}
-
-// requestConsidered reports whether r's queue is in the set the next
-// tick offers to the policy under the parked mode. A write enqueued
-// while reads are being served (or vice versa) adds no wake-up
-// candidate: it stays invisible to the option builder until the mode
-// changes, and every mode change forces a full wake-up.
-func (c *Controller) requestConsidered(r *Request) bool {
-	switch c.parkMode {
-	case modeBoth:
-		return true
-	case modeWrites:
-		return r.Kind.IsWrite()
-	default:
-		return !r.Kind.IsWrite()
-	}
-}
-
 // Tick advances the controller by one cycle: completes finished
 // transfers, updates drain mode, asks the policy for a command, and
 // issues it (or a page-policy precharge when the bus is free).
 //
-// When the previous full tick established an event horizon (wakeAt)
-// and no transfer completes this cycle, the tick returns immediately:
-// the queue contents, bank states, drain mode and policy state are all
-// provably unchanged, and the skipped queue-occupancy samples are
-// recovered exactly by the time-weighted trackers.
+// When the previous full tick established an event horizon (wakeAt),
+// no request was queued since and no transfer completes this cycle,
+// the tick returns immediately: the queue contents, bank states, drain
+// mode and policy state are all provably unchanged, and the skipped
+// queue-occupancy samples are recovered exactly by the time-weighted
+// trackers.
 //
 //mclint:hotpath
 func (c *Controller) Tick(now uint64) {
@@ -662,7 +577,11 @@ func (c *Controller) Tick(now uint64) {
 	// which see both queues every cycle).
 	mixed := considersWrites(c.policy)
 	if !mixed {
-		c.writeMode = c.advanceDrainFlag(c.writeMode)
+		if !c.writeMode && len(c.writeQ) >= c.cfg.WriteHi {
+			c.writeMode = true
+		} else if c.writeMode && len(c.writeQ) <= c.cfg.WriteLo {
+			c.writeMode = false
+		}
 	}
 
 	// 4. Build the option set and let the policy pick.
@@ -718,17 +637,17 @@ func (c *Controller) Tick(now uint64) {
 // validations cannot change during the skipped window.
 //
 // The computation is a fold over the candidate groups' earliest-issue
-// memos, one per request kind the parked mode considers: the read
-// memos over readOrder unless the mode is modeWrites, the write memos
-// over writeOrder unless it is modeReads. The same tick's buildOptions
-// offered no option and issued nothing, so every cycle a single-kind
-// fold takes lies past now. EarliestIssue reads Loc.Row only for column
-// commands, where it is the open row, so every request of a group that
-// needs the same command kind shares its oldest one's cycle. In
-// modeBoth a group holding reads and writes to the open row offers only
-// its oldest member's column command, and the other kind's memo is
-// folded in too, so the horizon still wakes for it (VerifyParkHorizon
-// holds every considered request to that rule).
+// memos, one per request kind this tick's queue mode considers: the
+// read memos over readOrder unless the mode is modeWrites, the write
+// memos over writeOrder unless it is modeReads. The same tick's
+// buildOptions offered no option and issued nothing, so every cycle a
+// single-kind fold takes lies past now. EarliestIssue reads Loc.Row
+// only for column commands, where it is the open row, so every request
+// of a group that needs the same command kind shares its oldest one's
+// cycle. In modeBoth a group holding reads and writes to the open row
+// offers only its oldest member's column command, and the other kind's
+// memo is folded in too, so the horizon still wakes for it
+// (VerifyParkHorizon holds every considered request to that rule).
 //
 // The build skipped groups on their earliest-issue bounds, which may
 // have gone stale. The fold therefore considers a group only while its
@@ -738,8 +657,6 @@ func (c *Controller) Tick(now uint64) {
 // fold over every group's exact cycle.
 func (c *Controller) idleHorizon(now uint64) uint64 {
 	mode := c.queueMode(considersWrites(c.policy))
-	c.parkMode = mode
-
 	h := dram.Never
 	if mode != modeWrites {
 		h = c.foldMemos(c.readOrder, 0, h)
@@ -791,7 +708,7 @@ func (c *Controller) commandFor(r *Request) dram.Command {
 
 // nextKind is the one rule for a request's next command, shared by the
 // candidate groups (memo and groupOption, which pass their group's bank
-// pointer), the enqueue re-arm and VerifyParkHorizon (via commandFor).
+// pointer) and VerifyParkHorizon (via commandFor).
 func nextKind(bank *dram.Bank, r *Request) dram.CommandKind {
 	switch {
 	case bank.State == dram.BankIdle:
@@ -803,12 +720,6 @@ func nextKind(bank *dram.Bank, r *Request) dram.CommandKind {
 	default:
 		return dram.CmdRead
 	}
-}
-
-// earliestFor returns the earliest cycle the next command advancing r
-// becomes legal.
-func (c *Controller) earliestFor(r *Request) uint64 {
-	return c.ch.EarliestIssue(c.commandFor(r))
 }
 
 // NextEvent reports the earliest cycle >= now at which this controller
@@ -831,21 +742,19 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 
 // effectiveWriteMode reports whether the controller serves writes this
 // cycle: either drain mode, or opportunistically when no reads wait.
-// Defined on modeFor so the rule cannot drift from the horizon's
+// Defined on queueMode so the rule cannot drift from the horizon's
 // queue selection.
 func (c *Controller) effectiveWriteMode() bool {
-	return c.modeFor(c.writeMode, false) == modeWrites
+	return c.queueMode(false) == modeWrites
 }
 
-// modeFor derives the queue-selection mode from a drain flag and the
-// current queue lengths. It is the single source of the selection
-// rules: buildOptions/idleHorizon (via queueMode, with the current
-// writeMode flag) and the enqueue-time projection (via projectedMode,
-// with the hysteresis-advanced flag) must agree by construction — the
-// event horizon is "the first cycle an option appears", so deriving
-// it from a different queue set than the option builder would make
-// the controller wake from the wrong queues.
-func (c *Controller) modeFor(wm, mixed bool) uint8 {
+// queueMode derives the queue-selection mode from the drain flag and
+// the current queue lengths. It is the single source of the selection
+// rules: buildOptions, idleHorizon and VerifyParkHorizon must agree by
+// construction — the event horizon is "the first cycle an option
+// appears", so deriving it from a different queue set than the option
+// builder would make the controller wake from the wrong queues.
+func (c *Controller) queueMode(mixed bool) uint8 {
 	if mixed {
 		// Safety valve: when the write queue is nearly full, offer
 		// only write-advancing options so the policy cannot wedge the
@@ -856,15 +765,10 @@ func (c *Controller) modeFor(wm, mixed bool) uint8 {
 		return modeBoth
 	}
 	// Drain mode, or opportunistic writes when no reads wait.
-	if wm || (len(c.readQ) == 0 && len(c.writeQ) > 0) {
+	if c.writeMode || (len(c.readQ) == 0 && len(c.writeQ) > 0) {
 		return modeWrites
 	}
 	return modeReads
-}
-
-// queueMode is the mode this tick's option builder uses.
-func (c *Controller) queueMode(mixed bool) uint8 {
-	return c.modeFor(c.writeMode, mixed)
 }
 
 // consideredQueues returns the queues whose requests the controller

@@ -65,7 +65,7 @@ import "cloudmc/internal/dram"
 //
 // The park fold (idleHorizon) skips on the same bounds and asks memo
 // for every group it does consider, over the order array of each kind
-// the parked mode considers.
+// the parking tick's mode considers.
 
 // group is one live candidate group: the queued requests targeting a
 // single (bankIdx, row), split by kind and held oldest-first, plus the

@@ -27,25 +27,24 @@ import (
 //     state must match bit for bit.
 
 // refIdleHorizon re-derives the idle horizon the way the pre-cache
-// implementation did: one earliestFor per request the parked mode
+// implementation did: one EarliestIssue per request the queue mode
 // considers, a full rank×bank scan for surviving pending closes, the
-// policy event, and the now+1 clamp. The queues are parkMode's, not the
-// current drain flag's: an enqueue may leave the controller parked in
-// the mode its next tick will use (noteEnqueue keeps parkMode equal to
-// projectedMode) while the flag itself still names the other one.
+// policy event, and the now+1 clamp. It is called right after the
+// parking tick, so queueMode is the mode that tick's fold used.
 func refIdleHorizon(c *Controller, now uint64) uint64 {
 	h := dram.Never
 	fold := func(q []*Request) {
 		for _, r := range q {
-			if at := c.earliestFor(r); at < h {
+			if at := c.ch.EarliestIssue(c.commandFor(r)); at < h {
 				h = at
 			}
 		}
 	}
-	if c.parkMode != modeWrites {
+	mode := c.queueMode(considersWrites(c.policy))
+	if mode != modeWrites {
 		fold(c.readQ)
 	}
-	if c.parkMode != modeReads {
+	if mode != modeReads {
 		fold(c.writeQ)
 	}
 	for rank := 0; rank < c.ch.Geo.Ranks; rank++ {
@@ -181,8 +180,9 @@ func horizonHarness(t *testing.T, seed int64, cycles uint64, rows int,
 					}
 				}
 			}
-			// An enqueue into a parked controller must leave the
-			// re-armed horizon exact without a full tick.
+			// A queued request resets the horizon, but a forwarded read
+			// or a coalesced write leaves the park in place, and the
+			// park must still be exact.
 			if err := fast.VerifyParkHorizon(now, 2000); err != nil {
 				t.Fatalf("cycle %d (post-enqueue): %v", now, err)
 			}
@@ -203,8 +203,8 @@ func horizonHarness(t *testing.T, seed int64, cycles uint64, rows int,
 		t.Fatalf("completions diverged: fast %d, naive %d", fastDone, naiveDone)
 	}
 	// The time-weighted trackers sample at different cycles (the naive
-	// twin samples every cycle, the fast-forward controller only at
-	// ticks and enqueues) but must integrate to the same area.
+	// twin samples every cycle, the fast-forward controller only at its
+	// full ticks) but must integrate to the same area.
 	fs, ns := fast.Stats, naive.Stats
 	if fq, nq := fs.ReadQ.Average(cycles), ns.ReadQ.Average(cycles); fq != nq {
 		t.Fatalf("read-queue occupancy diverged: fast %v, naive %v", fq, nq)
@@ -239,7 +239,7 @@ func horizonHarness(t *testing.T, seed int64, cycles uint64, rows int,
 // (plain FR-FCFS, a timed EventHorizon policy, an option-declining
 // policy, a write-aware mixed-mode policy) and every page policy over
 // 4 rows per bank (conflicts and hits). The stateful predictive
-// policies, whose ShouldClose calls the enqueue fast path skips, run
+// policies, whose ShouldClose calls a parked controller skips, run
 // again with 1–3 registers over 6–32 rows, so registers evict and
 // re-earn while closes are pending.
 func TestHorizonExactnessRandomized(t *testing.T) {
@@ -294,25 +294,23 @@ func TestHorizonExactnessRandomized(t *testing.T) {
 			})
 		}
 	}
-	// At cycle 19340 this stream leaves the controller parked in
-	// modeWrites with its drain flag still off and a read just enqueued:
-	// the reference must fold the parked mode's queues, not the flag's.
+	// At cycle 19337 this stream parks the controller on opportunistic
+	// writes; at 19340 two writes reach WriteHi and a read arrives. The
+	// enqueues end the park, so that cycle's full tick sets the drain
+	// flag before the controller parks again in modeWrites. The stream
+	// stays as a drain-crossing regression case.
 	t.Run("frfcfs/abpp-3regs-6rows-drain", func(t *testing.T) {
 		horizonHarness(t, 2034, 20_000, 6, policies[0].mk, func() pagepolicy.Policy { return pagepolicy.NewABPP(3) })
 	})
 }
 
-// TestEnqueueReArmsParkWithoutFullScan pins the tentpole behavior: a
-// request that cannot issue for a while (a precharge in the tWR
-// shadow of a just-drained write) lands in a parked controller and
-// re-arms the horizon to exactly the cycle its command becomes legal
-// — without resetting the horizon to "unknown".
-func TestEnqueueReArmsParkWithoutFullScan(t *testing.T) {
+// TestEnqueueWakesParkedController pins the enqueue contract: a queued
+// request ends a park, and a forwarded read does not. The park is a
+// drain shadow: the write to row 3 has been served, and the write to
+// row 9 waits for its precharge past tWR.
+func TestEnqueueWakesParkedController(t *testing.T) {
 	ctl := testController(t, frPolicy{}, pagepolicy.NewOpen())
 	ctl.SetFastForward(true)
-	// W1 opens row 3; W2 needs row 9 in the same bank, so after W1's
-	// column access the controller parks in write mode waiting for the
-	// precharge to clear the tWR shadow.
 	l1 := rloc(0, 0, 3, 1)
 	l2 := rloc(0, 0, 9, 0)
 	ctl.EnqueueWrite(0, Source{Core: 1}, addrFor(l1), l1, nil)
@@ -329,31 +327,58 @@ func TestEnqueueReArmsParkWithoutFullScan(t *testing.T) {
 		t.Fatal("first write never drained")
 	}
 	now++
+	pre := ctl.Channel().EarliestIssue(dram.Command{Kind: dram.CmdPrecharge, Loc: l2})
 
-	// Another row-9 write lands in the parked controller: same command
-	// class, so the established horizon must survive untouched — an
-	// O(1) re-arm, not a reset to "unknown".
+	// A third row-9 write ends the park: the horizon is unknown and the
+	// controller is due this cycle.
 	l3 := rloc(0, 0, 9, 1)
 	if !ctl.EnqueueWrite(now, Source{Core: 1}, addrFor(l3), l3, nil) {
 		t.Fatal("enqueue failed")
 	}
-	want := ctl.Channel().EarliestIssue(dram.Command{Kind: dram.CmdPrecharge, Loc: l2})
-	if w := ctl.ParkHorizon(); w != want {
-		t.Fatalf("park horizon after enqueue = %d, want EarliestIssue(PRE) = %d", w, want)
+	if w := ctl.ParkHorizon(); w != 0 {
+		t.Fatalf("park horizon after enqueue = %d, want 0 (unknown)", w)
 	}
-	if w := ctl.ParkHorizon(); w <= now {
-		t.Fatalf("controller woke immediately (horizon %d <= now %d); expected a parked re-arm", w, now)
+	if w := ctl.NextEvent(now); w != now {
+		t.Fatalf("NextEvent(%d) after enqueue = %d, want %d", now, w, now)
+	}
+
+	// The wake tick runs in full and re-parks at the precharge.
+	wakes := ctl.Stats.Wakes
+	ctl.Tick(now)
+	if got := ctl.Stats.Wakes - wakes; got != 1 {
+		t.Fatalf("wake tick counted %d wakes, want 1", got)
+	}
+	if w := ctl.ParkHorizon(); w != pre {
+		t.Fatalf("park horizon after wake tick = %d, want EarliestIssue(PRE) = %d", w, pre)
 	}
 	if err := ctl.VerifyParkHorizon(now, 2000); err != nil {
 		t.Fatal(err)
 	}
-	for ; now < ctl.ParkHorizon(); now++ {
-		ctl.Tick(now) // provable no-ops until the horizon
+
+	// A read of a queued write's block is forwarded: it keeps the park,
+	// and NextEvent reports the forward's completion.
+	now++
+	if !ctl.EnqueueRead(now, Source{Core: 1}, addrFor(l3), l3, ReadDemand, nil) {
+		t.Fatal("forwarded read rejected")
 	}
+	if w := ctl.ParkHorizon(); w != pre {
+		t.Fatalf("park horizon after forwarded read = %d, want %d", w, pre)
+	}
+	done := now + uint64(DefaultConfig().ForwardLatency)
+	if done >= pre {
+		t.Fatalf("forward completes at %d, not inside the park ending at %d", done, pre)
+	}
+	if w := ctl.NextEvent(now); w != done {
+		t.Fatalf("NextEvent(%d) after forwarded read = %d, want its completion %d", now, w, done)
+	}
+	if err := ctl.VerifyParkHorizon(now, 2000); err != nil {
+		t.Fatal(err)
+	}
+
 	for end := now + 600; now < end && ctl.Stats.WritesServed < 3; now++ {
 		ctl.Tick(now)
 	}
-	if ctl.Stats.WritesServed != 3 {
-		t.Fatalf("re-armed writes never served (served %d)", ctl.Stats.WritesServed)
+	if ctl.Stats.WritesServed != 3 || ctl.Stats.ForwardedReads != 1 {
+		t.Fatalf("served %d writes and forwarded %d reads, want 3 and 1", ctl.Stats.WritesServed, ctl.Stats.ForwardedReads)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // the candidate groups' earliest-issue memos and of
 // dram.Channel.EarliestIssue. The exactness property suites (memctrl
 // horizon tests and the core kernel differential tests) call it
-// whenever a controller parks or re-arms; production code never does.
+// whenever a controller parks; production code never does.
 
 // ParkHorizon returns the controller's established event horizon: the
 // earliest future cycle at which its state can change, or 0 when the
@@ -45,7 +45,10 @@ func (c *Controller) VerifyParkHorizon(now uint64, maxScan uint64) error {
 	// the parking fold used and the same per-request commands
 	// buildOptions would generate. Bank and queue state are frozen
 	// while parked, so evaluating the predicate at future t against
-	// current state is exactly what the per-cycle loop would see.
+	// current state is exactly what the per-cycle loop would see. So is
+	// the queue mode: only a full tick moves the drain flag, and a
+	// queued request ends the park.
+	mode := c.queueMode(considersWrites(c.policy))
 	actionable := func(t uint64) bool {
 		check := func(q []*Request) bool {
 			for _, r := range q {
@@ -55,10 +58,10 @@ func (c *Controller) VerifyParkHorizon(now uint64, maxScan uint64) error {
 			}
 			return false
 		}
-		if c.parkMode != modeWrites && check(c.readQ) {
+		if mode != modeWrites && check(c.readQ) {
 			return true
 		}
-		if c.parkMode != modeReads && check(c.writeQ) {
+		if mode != modeReads && check(c.writeQ) {
 			return true
 		}
 		for b, pending := range c.pendingClose {

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"fmt"
-
 	"cloudmc/internal/dram"
 	"cloudmc/internal/memctrl"
 )
@@ -104,16 +102,7 @@ func (t *ServiceTracker) Tick(now uint64) {
 	for r, slot := range order {
 		t.rank[slot] = r
 	}
-	if debugATLAS {
-		fmt.Printf("atlas ranks @%d: %v totals: %.0f\n", now, t.rank, t.total)
-	}
 }
-
-// debugATLAS enables rank tracing for development. It is a
-// compile-time switch rather than an environment lookup: an env var
-// would make simulation behavior depend on host state, which the
-// nodeterm invariant forbids in simulation packages.
-const debugATLAS = false
 
 // NextBoundary returns the cycle at which the next quantum rollover
 // fires (the earliest now for which Tick re-ranks).

@@ -184,6 +184,12 @@ func (p Profile) Validate() error {
 	if a := p.TargetSingleAccess; !(a > 0 && a < 1) {
 		return fmt.Errorf("workload %s: TargetSingleAccess %v out of (0,1)", p.Acronym, a)
 	}
+	if c := p.HitCalib; !(c >= 0) || math.IsInf(c, 1) {
+		return fmt.Errorf("workload %s: HitCalib %v must be finite and >= 0 (0 selects the default)", p.Acronym, c)
+	}
+	if c := p.AccCalib; math.IsNaN(c) || math.IsInf(c, 0) {
+		return fmt.Errorf("workload %s: AccCalib %v must be finite (0 selects the default)", p.Acronym, c)
+	}
 	if p.MLPLimit <= 0 {
 		return fmt.Errorf("workload %s: MLPLimit must be positive", p.Acronym)
 	}

@@ -53,24 +53,56 @@ func TestByAcronymUnknown(t *testing.T) {
 	}
 }
 
-func TestDerivedMixtureIsConsistent(t *testing.T) {
-	for _, p := range All() {
-		d := p.Derived()
-		if d.PCold < 0 || d.PBurstStart < 0 || d.PHot < 0 {
-			t.Errorf("%s: negative probabilities %+v", p.Acronym, d)
-		}
-		if d.BurstLen < 1 {
-			t.Errorf("%s: burst length %f < 1", p.Acronym, d.BurstLen)
-		}
-		total := d.PCold + d.PBurstStart*d.BurstLen
-		missTarget := p.TargetMPKI / 1000
-		if math.Abs(total-missTarget) > 1e-9 {
-			t.Errorf("%s: miss rate %f, want %f", p.Acronym, total, missTarget)
-		}
-		if sum := d.PCold + d.PBurstStart + d.PHot; sum >= 1 {
-			t.Errorf("%s: probability mass %f >= 1", p.Acronym, sum)
+// checkMixture reports every way p's derived mixture is inconsistent:
+// a probability that is not finite or is negative, a burst shorter than
+// one block, a miss mass other than TargetMPKI/1000, or a total
+// probability of 1 or more.
+func checkMixture(t *testing.T, p Profile) {
+	t.Helper()
+	d := p.Derived()
+	for _, x := range []float64{d.PCold, d.PBurstStart, d.PHot} {
+		if !(x >= 0) || math.IsInf(x, 1) {
+			t.Errorf("%s: probabilities not finite and >= 0: %+v", p.Acronym, d)
+			break
 		}
 	}
+	if !(d.BurstLen >= 1) || math.IsInf(d.BurstLen, 1) {
+		t.Errorf("%s: burst length %v not finite and >= 1", p.Acronym, d.BurstLen)
+	}
+	total := d.PCold + d.PBurstStart*d.BurstLen
+	missTarget := p.TargetMPKI / 1000
+	if !(math.Abs(total-missTarget) <= 1e-9) {
+		t.Errorf("%s: miss rate %v, want %v", p.Acronym, total, missTarget)
+	}
+	if sum := d.PCold + d.PBurstStart + d.PHot; !(sum < 1) {
+		t.Errorf("%s: probability mass %v >= 1", p.Acronym, sum)
+	}
+}
+
+func TestDerivedMixtureIsConsistent(t *testing.T) {
+	for _, p := range All() {
+		checkMixture(t, p)
+	}
+}
+
+// FuzzDerivedMixture mutates DataServing's mixture targets and
+// calibration, and checks the mixture of every profile Validate
+// accepts. The seed corpus holds calibrations Validate once let
+// through although Derived turned them into NaN probabilities.
+func FuzzDerivedMixture(f *testing.F) {
+	ds := DataServing()
+	f.Add(ds.TargetRowHit, ds.TargetSingleAccess, ds.TargetMPKI, ds.HitCalib, ds.AccCalib)
+	f.Add(0.0, ds.TargetSingleAccess, ds.TargetMPKI, math.NaN(), ds.AccCalib)
+	f.Add(0.0, ds.TargetSingleAccess, ds.TargetMPKI, math.Inf(1), ds.AccCalib)
+	f.Fuzz(func(t *testing.T, rowHit, single, mpki, hitCalib, accCalib float64) {
+		p := DataServing()
+		p.TargetRowHit, p.TargetSingleAccess, p.TargetMPKI = rowHit, single, mpki
+		p.HitCalib, p.AccCalib = hitCalib, accCalib
+		if p.Validate() != nil {
+			return
+		}
+		checkMixture(t, p)
+	})
 }
 
 func TestGeneratorDeterminism(t *testing.T) {
@@ -282,6 +314,12 @@ func TestValidateRejectsBrokenProfiles(t *testing.T) {
 		func(p *Profile) { p.TargetSingleAccess = math.NaN() },
 		func(p *Profile) { p.BurstStoreFraction = 1.5 },
 		func(p *Profile) { p.BurstStoreFraction = math.NaN() },
+		func(p *Profile) { p.HitCalib = math.NaN() },
+		func(p *Profile) { p.HitCalib = math.Inf(1) },
+		func(p *Profile) { p.HitCalib = -1.5 },
+		func(p *Profile) { p.AccCalib = math.NaN() },
+		func(p *Profile) { p.AccCalib = math.Inf(1) },
+		func(p *Profile) { p.AccCalib = math.Inf(-1) },
 		// A fresh slice: the built-in profiles share theirs.
 		func(p *Profile) { p.CoreIntensity = []float64{1, math.NaN()} },
 		func(p *Profile) { p.CoreIntensity = []float64{1, -1} },
